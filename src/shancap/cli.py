@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ from .graphs import (DEFAULT_VERTEX_LIMIT, GraphError, complement,
                      conormal_product, disjoint_union, generate,
                      strong_power, strong_product)
 from .haemers import fitting_from_json, haemers_certificate, verify_fitting
-from .kings import (Board, exact_max_kings, heuristic_max_kings, king_graph,
+from .kings import (Board, exact_max_kings, heuristic_max_kings,
                     layered_construction, placement_from_json,
                     placement_to_json, render_board)
 from .report import (combine_external_certificate, compute_bounds,
@@ -155,10 +154,6 @@ def build_parser():
                         help="exit 2 when any result is not proven optimal")
     common.add_argument("--time-budget", type=float, default=60.0)
     common.add_argument("--node-budget", type=int, default=50_000_000)
-    common.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SHANCAP_THREADS", "1")),
-                        help="upper bound on worker threads (solvers currently"
-                             " run single-threaded)")
     common.add_argument("--vertex-limit", type=int, default=DEFAULT_VERTEX_LIMIT)
 
     graphful = argparse.ArgumentParser(add_help=False)

@@ -17,13 +17,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 CONVENTION = "zero_on_nonadjacent"
 
 
 class FittingError(ValueError):
     pass
+
+
+def _is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,9 @@ class FittingMatrix:
             raise FittingError("matrix must be square and nonempty")
         if self.field != "Q":
             p = self.field
-            if not (isinstance(p, int) and p >= 2):
-                raise FittingError("field must be 'Q' or a prime modulus")
+            if not (isinstance(p, int) and _is_prime(p)):
+                raise FittingError(f"field must be 'Q' or a prime modulus, "
+                                   f"not {p!r}")
             for row in self.entries:
                 for x in row:
                     if not isinstance(x, int) or not 0 <= x < p:

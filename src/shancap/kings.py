@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .graphs import DEFAULT_VERTEX_LIMIT, Graph, GraphError, ProductIndex
+from .graphs import DEFAULT_VERTEX_LIMIT, ProductIndex, cycle, strong_power
 from .solvers import (IndependentSet, SolverConfig, _run_engine,
                       heuristic_independent_set, is_independent_set)
 
@@ -92,22 +92,7 @@ def king_graph(board, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Graph on all cells of the p^d torus; two cells are adjacent iff every
     coordinate differs by 0 or +-1 mod p and the cells differ.  Equals the
     d-th strong power of the p-cycle, labels included."""
-    if board.cells > vertex_limit:
-        raise GraphError(f"king graph would have {board.cells} vertices "
-                         f"(> limit {vertex_limit})")
-    p, d = board.p, board.d
-    idx = board.index
-    cells = [idx.decode(i) for i in range(board.cells)]
-    steps = [s for s in product((-1, 0, 1), repeat=d) if any(s)]
-    rows = []
-    for i, cell in enumerate(cells):
-        row = 0
-        for s in steps:
-            j = idx.encode(tuple((c + dc) % p for c, dc in zip(cell, s)))
-            row |= 1 << j
-        row &= ~(1 << i)  # p=3: a +-1 step can wrap back onto the cell
-        rows.append(row)
-    return Graph(board.cells, tuple(rows), tuple(cells))
+    return strong_power(cycle(board.p), board.d, vertex_limit=vertex_limit)
 
 
 def verify_placement(pl):

@@ -2,9 +2,11 @@
 
 Lower bounds come from independent sets in strong powers (value is the
 k-th root of the witness size); upper bounds take the best of the theta
-bracket, the fractional clique bound, the clique cover number, and any
-imported verified certificate.  The theta bracket is computed once on the
-base graph; it already bounds every power because it multiplies.
+bracket, the fractional clique bound rho, and any imported verified
+certificate.  The clique cover number sigma is not a candidate: theta <=
+rho <= sigma always holds, so sigma can never tighten the interval.  The
+theta bracket is computed once on the base graph; it already bounds every
+power because it multiplies.
 Every reported bound carries a machine-checkable witness, and reports with
 identical seed and budget serialize byte-for-byte identically.
 
@@ -26,9 +28,9 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 from .fractional import rosenfeld_number
 from .graphs import Graph, VertexLimitError, cycle, strong_power
-from .haemers import FittingMatrix, haemers_certificate
+from .haemers import FittingError, FittingMatrix, haemers_certificate
 from .kings import Placement, toroidal_chebyshev, verify_placement
-from .solvers import (CliqueCapExceeded, SolverConfig, clique_cover_number,
+from .solvers import (CliqueCapExceeded, SolverConfig,
                       heuristic_independent_set, is_independent_set,
                       max_independent_set)
 from .theta import lovasz_theta
@@ -113,21 +115,17 @@ def _power_row(G, k, cfg, vertex_limit):
             best = alt.vertices
     root = len(best) ** (1.0 / k)
     witness = tuple(Gk.label_of(v) for v in best)  # coordinate tuples
-    return PowerRow(k, len(best), root, exact, witness), Gk
+    return PowerRow(k, len(best), root, exact, witness)
 
 
-def _upper_candidates(G, cfg, tol):
-    out = []
+def _upper_candidates(G, tol):
     bracket = lovasz_theta(G, tol=tol)
-    out.append(("theta", bracket.hi, bracket))
+    out = [("theta", bracket.hi, bracket)]
     try:
         rho, weighting = rosenfeld_number(G)
         out.append(("rho", float(rho), weighting))
     except CliqueCapExceeded:
         pass
-    sigma, cover = clique_cover_number(G, cfg)
-    if cover.proven_optimal:
-        out.append(("sigma", float(sigma), cover))
     return out, bracket
 
 
@@ -140,7 +138,7 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
     lower = None
     for k in range(1, max_power + 1):
         try:
-            row, Gk = _power_row(G, k, cfg, vertex_limit)
+            row = _power_row(G, k, cfg, vertex_limit)
         except VertexLimitError as exc:  # too large to build: flag, move on
             provenance.append(f"power {k} skipped: {exc}")
             continue
@@ -153,7 +151,7 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                                "exact" if row.exact else "heuristic")
     if lower is None:
         raise ReportError("no power produced a lower bound")
-    candidates, bracket = _upper_candidates(G, cfg, theta_tol)
+    candidates, bracket = _upper_candidates(G, theta_tol)
     source, value, certificate = min(candidates, key=lambda c: (c[1], c[0]))
     provenance.append(
         f"theta bracket [{bracket.lo!r}, {bracket.hi!r}]"
@@ -199,20 +197,14 @@ class LockinTable:
 
 def lockin_scan(G, p_max=2, cfg=None, graph_desc="graph", meet_tol=1e-5,
                 theta_tol=1e-6, vertex_limit=100_000):
-    """Tabulates the normalized independence numbers of the first powers
-    and marks any power already meeting the best upper bound."""
-    cfg = cfg or SolverConfig()
-    candidates, _ = _upper_candidates(G, cfg, theta_tol)
-    upper = min(c[1] for c in candidates)
-    rows = []
-    locked = None
-    for k in range(1, p_max + 1):
-        row, _ = _power_row(G, k, cfg, vertex_limit)
-        meets = row.root >= upper - meet_tol
-        rows.append(LockinRow(k, row.alpha_best, row.root, row.exact, meets))
-        if meets and locked is None:
-            locked = k
-    return LockinTable(graph_desc, upper, tuple(rows), locked)
+    """The power table of ``compute_bounds``, each row marked when it
+    already meets the reported upper bound within ``meet_tol``."""
+    report = compute_bounds(G, p_max, cfg, graph_desc, theta_tol, vertex_limit)
+    upper = report.upper.value
+    rows = tuple(LockinRow(r.k, r.alpha_best, r.root, r.exact,
+                           r.root >= upper - meet_tol) for r in report.table)
+    locked = next((r.k for r in rows if r.meets_upper), None)
+    return LockinTable(graph_desc, upper, rows, locked)
 
 
 def combine_external_certificate(report, cert):
@@ -241,7 +233,7 @@ def combine_external_certificate(report, cert):
     if isinstance(cert, FittingMatrix):
         try:
             rank = haemers_certificate(G, cert)
-        except Exception as exc:
+        except FittingError as exc:
             raise CertificateRejected(f"fitting matrix rejected: {exc}")
         if rank < report.upper.value:
             report = replace(report, upper=UpperBound(float(rank), "haemers", cert),

@@ -492,7 +492,8 @@ def _greedy_clique(adj, n):
 
 def _color_exact(adj, n, k, clique_mask, budget):
     """Backtracking k-coloring; the seed clique is pre-colored 0,1,2,...
-    budget is a mutable [nodes_left]; returns list of class masks or None."""
+    budget is a mutable [nodes_left, deadline], both checked on every node;
+    returns list of class masks or None."""
     color = [-1] * n
     classes = [0] * k
     used = 0
@@ -531,7 +532,7 @@ def _color_exact(adj, n, k, clique_mask, budget):
         if remaining == 0:
             return True
         budget[0] -= 1
-        if budget[0] <= 0:
+        if budget[0] <= 0 or time.monotonic() > budget[1]:
             raise _BudgetExhausted
         v = pick()
         limit = min(k, used + 1)
@@ -555,7 +556,11 @@ def clique_cover_number(G, cfg=None):
     """sigma(G): chromatic number of the complement, exact within budget.
 
     Returns (value, CliqueCover); the cover is valid either way, with
-    proven_optimal=False when the search degraded to greedy.
+    proven_optimal=False when the search degraded to greedy.  The exact
+    search stops after at most 2,000,000 backtrack nodes (fewer if
+    ``node_budget`` is smaller) and reads the clock on every node, so it
+    overruns ``time_budget`` by at most one node's work: one scan of the
+    uncolored vertices.  The greedy bounds before it are not budgeted.
     """
     cfg = cfg or SolverConfig()
     H = complement(G)
@@ -567,13 +572,11 @@ def clique_cover_number(G, cfg=None):
     lb = clique_mask.bit_count()
     best_classes = greedy_classes
     proven = lb == ub
-    budget = [min(cfg.node_budget, 2_000_000)]
-    deadline = time.monotonic() + cfg.time_budget
+    budget = [min(cfg.node_budget, 2_000_000),
+              time.monotonic() + cfg.time_budget]
     if not proven:
         try:
             for k in range(lb, ub):
-                if time.monotonic() > deadline:
-                    raise _BudgetExhausted
                 res = _color_exact(adj, n, k, clique_mask, budget)
                 if res is not None:
                     best_classes = res

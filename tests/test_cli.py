@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -181,3 +184,14 @@ def test_invalid_inputs_exit_one(capsys):
 def test_strict_on_proven_result_is_zero(capsys):
     code, _, _ = run_capture(capsys, ["alpha", "cycle:9", "--strict"])
     assert code == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "shancap", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert "usage: shancap" in proc.stdout

@@ -132,3 +132,13 @@ def test_json_roundtrip():
     assert fitting_from_json(fitting_to_json(Bp)) == Bp
     with pytest.raises(FittingError):
         fitting_from_json('{"field": "R", "entries": [[1]]}')
+
+
+def test_composite_modulus_rejected():
+    with pytest.raises(FittingError):
+        fitting_matrix([[2, 0], [0, 2]], field=4)
+    with pytest.raises(FittingError):
+        FittingMatrix(((1, 0), (0, 1)), 1)
+    with pytest.raises(FittingError):
+        fitting_from_json('{"field": "GF(4)", "entries": [[1, 0], [0, 1]]}')
+    assert matrix_rank(fitting_matrix([[2, 0], [0, 2]], field=5)) == 2

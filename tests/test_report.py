@@ -154,3 +154,22 @@ def test_report_dict_schema():
     assert doc["lower"]["witness"]
     assert all(len(cell) == doc["lower"]["power"]
                for cell in doc["lower"]["witness"])
+
+
+def test_lockin_skips_powers_over_the_vertex_limit():
+    t = lockin_scan(cycle(7), p_max=2, cfg=CFG, vertex_limit=10)
+    assert [r.k for r in t.rows] == [1]
+    assert t.locked_at is None
+
+
+def test_lockin_reports_the_bounds_upper_value():
+    t = lockin_scan(cycle(7), p_max=2, cfg=CFG)
+    rep = compute_bounds(cycle(7), max_power=2, cfg=CFG)
+    assert t.upper == rep.upper.value
+    assert [(r.k, r.alpha_best, r.root, r.exact) for r in t.rows] == \
+        [(r.k, r.alpha_best, r.root, r.exact) for r in rep.table]
+
+
+def test_sigma_is_not_an_upper_candidate():
+    rep = compute_bounds(cycle(7), max_power=1, cfg=CFG)
+    assert not any("sigma" in line for line in rep.provenance)

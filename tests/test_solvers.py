@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -198,3 +199,14 @@ def test_heuristic_deterministic_per_seed():
     a = heuristic_independent_set(G, SolverConfig(seed=4))
     b = heuristic_independent_set(G, SolverConfig(seed=4))
     assert a.vertices == b.vertices
+
+
+def test_clique_cover_honours_time_budget():
+    G = strong_power(cycle(5), 3)
+    start = time.monotonic()
+    value, cover = clique_cover_number(G, SolverConfig(time_budget=1.0))
+    assert time.monotonic() - start < 10.0
+    assert not cover.proven_optimal
+    assert value == len(cover.parts)
+    assert sorted(v for part in cover.parts for v in part) == list(range(G.n))
+    assert all(is_clique(G, part) for part in cover.parts)
