@@ -165,7 +165,7 @@ def lp_solve_exact(objective, constraints, rhs):
     return value, tuple(x)
 
 
-def rosenfeld_number(G, clique_cap=None):
+def rosenfeld_number(G):
     """Exact optimum of: maximize sum f(v) over f >= 0 with sum of f over
     every clique at most 1.  Constraints range over maximal cliques only,
     which dominate all clique constraints.
@@ -173,8 +173,7 @@ def rosenfeld_number(G, clique_cap=None):
     Returns (value, FractionalWeighting); the weighting is re-verified
     feasible and attaining before it is returned.
     """
-    kwargs = {} if clique_cap is None else {"cap": clique_cap}
-    cliques = enumerate_maximal_cliques(G, **kwargs)
+    cliques = enumerate_maximal_cliques(G)
     n = G.n
     objective = [ONE] * n
     constraints = []

@@ -191,13 +191,8 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     G = king_graph(board, vertex_limit)
     idx = board.index
     incumbent = heuristic_max_kings(board, cfg, vertex_limit).placement
+    # canonical, so it contains the origin and seeds the forced search
     incumbent_ids = tuple(idx.encode(c) for c in incumbent.cells)
-    # translate the incumbent so it contains the origin and seeds the search
-    shift = tuple(-c % board.p for c in incumbent.cells[0]) if incumbent.cells else None
-    if shift:
-        incumbent_ids = tuple(
-            idx.encode(tuple((c + s) % board.p for c, s in zip(cell, shift)))
-            for cell in incumbent.cells)
     origin = idx.encode((0,) * board.d)
 
     def orbit_mask(v):

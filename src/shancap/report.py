@@ -11,9 +11,9 @@ Every reported bound carries a machine-checkable witness, and reports with
 identical seed and budget serialize byte-for-byte identically.
 
 Upper bounds are rounded outward, never to the nearest value: the chosen
-upper value is rounded up to 6 significant digits, unless the interval has
-already closed (the lower value reaches the theta bracket's ``lo``), in
-which case it is kept unrounded so that the interval stays tight.  Printed
+upper value is rounded up to 6 significant digits, unless the reported
+interval has already closed (upper minus lower is at most ``CLOSED_TOL``),
+in which case it is kept unrounded so that the interval stays tight.  Printed
 upper values are rounded up to 7 significant digits, and a printed theta
 bracket is rounded outward (``lo`` down, ``hi`` up).  Rounding up only
 weakens a sound upper bound, so every number shown is still certified.
@@ -36,6 +36,10 @@ from .solvers import (CliqueCapExceeded, SolverConfig,
 from .theta import lovasz_theta
 from .umbrella import (DensityUmbrella, VectorUmbrella, umbrella_value,
                        verify_umbrella)
+
+
+CLOSED_TOL = 1e-6  # theta's stopping width; a narrower interval is closed
+MEET_TOL = 1e-5  # a lock-in row this close to the upper value meets it
 
 
 class ReportError(ValueError):
@@ -118,8 +122,8 @@ def _power_row(G, k, cfg, vertex_limit):
     return PowerRow(k, len(best), root, exact, witness)
 
 
-def _upper_candidates(G, tol):
-    bracket = lovasz_theta(G, tol=tol)
+def _upper_candidates(G):
+    bracket = lovasz_theta(G, tol=CLOSED_TOL)
     out = [("theta", bracket.hi, bracket)]
     try:
         rho, weighting = rosenfeld_number(G)
@@ -130,7 +134,7 @@ def _upper_candidates(G, tol):
 
 
 def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
-                   theta_tol=1e-6, vertex_limit=100_000):
+                   vertex_limit=100_000):
     """Certified interval around the capacity of G, with per-power table."""
     cfg = cfg or SolverConfig()
     table = []
@@ -151,14 +155,14 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                                "exact" if row.exact else "heuristic")
     if lower is None:
         raise ReportError("no power produced a lower bound")
-    candidates, bracket = _upper_candidates(G, theta_tol)
+    candidates, bracket = _upper_candidates(G)
     source, value, certificate = min(candidates, key=lambda c: (c[1], c[0]))
     provenance.append(
         f"theta bracket [{bracket.lo!r}, {bracket.hi!r}]"
         f"{'' if bracket.converged else ' (not converged)'}")
     for name, val, _ in candidates:
         provenance.append(f"upper candidate {name} = {val!r}")
-    if lower.value < bracket.lo:  # interval still open: round outward
+    if value - lower.value > CLOSED_TOL:  # interval still open: round outward
         rounded = _round_out(value, 6)
         if rounded != value:
             provenance.append(f"upper {value!r} rounded up to {rounded!r}")
@@ -195,14 +199,13 @@ class LockinTable:
     locked_at: object  # power k, or None
 
 
-def lockin_scan(G, p_max=2, cfg=None, graph_desc="graph", meet_tol=1e-5,
-                theta_tol=1e-6, vertex_limit=100_000):
+def lockin_scan(G, p_max=2, cfg=None, graph_desc="graph", vertex_limit=100_000):
     """The power table of ``compute_bounds``, each row marked when it
-    already meets the reported upper bound within ``meet_tol``."""
-    report = compute_bounds(G, p_max, cfg, graph_desc, theta_tol, vertex_limit)
+    already meets the reported upper bound within ``MEET_TOL``."""
+    report = compute_bounds(G, p_max, cfg, graph_desc, vertex_limit)
     upper = report.upper.value
     rows = tuple(LockinRow(r.k, r.alpha_best, r.root, r.exact,
-                           r.root >= upper - meet_tol) for r in report.table)
+                           r.root >= upper - MEET_TOL) for r in report.table)
     locked = next((r.k for r in rows if r.meets_upper), None)
     return LockinTable(graph_desc, upper, rows, locked)
 

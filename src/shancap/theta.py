@@ -6,15 +6,17 @@ onto the affine set with projection onto the PSD cone, carrying a scaled
 multiplier.  The multiplier yields a matrix M with unit diagonal and unit
 non-edge entries whose largest eigenvalue upper-bounds the optimum; a
 subgradient sweep over the free edge entries of M then tightens that bound.
-Both certificates are re-verified by independent arithmetic before the
-bracket is reported, so the returned interval is sound even when the
-iteration is stopped early.
+Both certificates are re-verified before the bracket is reported, so the
+interval is sound even when the iteration is stopped early; the dual bound
+is proven by one floating-point Cholesky with an a priori error bound and
+no heuristic margin (``_lambda_max_certified``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,56 +68,53 @@ def _project_psd(V):
 
 
 def _lambda_max_certified(M):
-    """Upper bound on the largest eigenvalue: power iteration on a
-    Gershgorin-shifted copy (with one deflation pass to stabilize the
-    Rayleigh quotient) cross-checked against the dense eigensolver, plus
-    the residual norm as explicit safety margin."""
+    """A float t > lambda_max(M) for a symmetric M, proven by one float
+    Cholesky of A = t*I - M - c*I, its diagonal formed exactly and rounded
+    down.  A Cholesky that completes with a finite R gives R^T R = A + E,
+    ||E||_2 <= g/(1-g) tr(A), g = gamma_{n+1} = (n+1)u/(1-(n+1)u), u = 2^-53
+    (Demmel; Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3; Rump, BIT 2006), so c = 2g/(1-g) sum(t - M_ii) + n*2^-1000
+    (underflow) proves t*I - M > 0.  Assumes IEEE doubles rounded to nearest
+    and LAPACK potrf as a standard Cholesky.  t starts just above the
+    eigvalsh estimate; each failed Cholesky quadruples the step."""
+    if not np.isfinite(M).all():
+        raise CertificateError("dual certificate has a non-finite entry")
     n = M.shape[0]
-    shift = float(np.max(np.sum(np.abs(M), axis=1))) + 1.0
-    B = M + shift * np.eye(n)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    v[0] += 1e-3
-    v /= np.linalg.norm(v)
-    mu = 0.0
-    for _ in range(300):
-        w = B @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-        mu = float(v @ (B @ v))
-    resid = float(np.linalg.norm(B @ v - mu * v))
-    # deflate and re-run briefly: catches a start vector aligned badly
-    B2 = B - mu * np.outer(v, v)
-    u = np.ones(n) / math.sqrt(n)
-    for _ in range(60):
-        w = B2 @ u
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        u = w / nw
-    mu2 = float(u @ (B @ u))
-    power_est = max(mu, mu2) - shift
-    dense_est = float(np.linalg.eigvalsh(M)[-1])
-    margin = resid + 64.0 * n * float(np.finfo(float).eps) * (abs(shift) + abs(mu))
-    return float(max(power_est, dense_est) + margin)
+    diag = [Fraction(float(x)) for x in np.diag(M)]
+    g = Fraction(n + 1, 2**53 - n - 1)
+    est = float(np.linalg.eigvalsh(M)[-1])
+    step = n * (n + 1) * 2.0**-52 * (abs(est) + 1.0)
+    while math.isfinite(est + step):
+        t = Fraction(est + step)
+        c = 2 * g / (1 - g) * sum(t - d for d in diag) + Fraction(n, 2**1000)
+        A = -M
+        A[np.diag_indices(n)] = [math.nextafter(float(t - d - c), -math.inf)
+                                 for d in diag]  # float() rounds to nearest
+        try:
+            if np.isfinite(np.linalg.cholesky(A)).all():
+                return float(t)
+        except np.linalg.LinAlgError:
+            pass
+        step *= 4.0
+    raise CertificateError("no finite upper bound on lambda_max")
 
 
-def verify_dual_certificate(M, G, pattern_tol=1e-12):
-    """Check the unit diagonal / unit non-edge pattern, then return a sound
-    upper bound from the certified largest eigenvalue."""
+def verify_dual_certificate(M, G):
+    """Check the pattern exactly (symmetric, unit diagonal, unit non-edge
+    entries), then return a sound upper bound from the certified largest
+    eigenvalue, which also rejects non-finite entries."""
     n = G.n
     M = np.asarray(M, dtype=float)
     if M.shape != (n, n):
         raise CertificateError("dual certificate has wrong shape")
-    if np.max(np.abs(M - M.T)) > pattern_tol:
+    if not np.array_equal(M, M.T, equal_nan=True):  # nan: rejected below
         raise CertificateError("dual certificate not symmetric")
     for i in range(n):
-        if abs(M[i, i] - 1.0) > pattern_tol:
+        if M[i, i] != 1.0:
             raise CertificateError(f"dual certificate diagonal {i} is not 1")
         row = G.adj[i]
         for j in range(i + 1, n):
-            if not row >> j & 1 and abs(M[i, j] - 1.0) > pattern_tol:
+            if not row >> j & 1 and M[i, j] != 1.0:
                 raise CertificateError(
                     f"dual certificate non-edge entry ({i},{j}) is not 1")
     return _lambda_max_certified(M)
@@ -128,6 +127,8 @@ def verify_primal_certificate(X, G, tol=1e-9):
     X = np.asarray(X, dtype=float)
     if X.shape != (n, n):
         raise CertificateError("primal certificate has wrong shape")
+    if not np.isfinite(X).all():
+        raise CertificateError("primal certificate has a non-finite entry")
     if np.max(np.abs(X - X.T)) > tol:
         raise CertificateError("primal certificate not symmetric")
     S = (X + X.T) / 2.0
@@ -185,7 +186,7 @@ def _polish_dual(M, iu, iv, steps):
             best_val = val
             lr *= 1.15
         else:
-            if val < lam(cur):
+            if val < w[-1]:
                 cur = trial
             lr *= 0.6
             if lr < 1e-13:
@@ -223,15 +224,15 @@ def _uniform_dual(G):
     return J - t * A
 
 
-def lovasz_theta(G, tol=1e-6, max_iterations=20000, dense_limit=DENSE_LIMIT):
+def lovasz_theta(G, tol=1e-6, max_iterations=20000):
     """Certified bracket [lo, hi] around the Lovász number of G.
 
     When the bracket fails to reach ``tol`` within the iteration budget the
     widest verified bracket is returned with converged=False; both sides
     are sound regardless.
     """
-    if G.n > dense_limit:
-        raise ThetaError(f"graph too large for the dense solver (> {dense_limit})")
+    if G.n > DENSE_LIMIT:
+        raise ThetaError(f"graph too large for the dense solver (> {DENSE_LIMIT})")
     n = G.n
     iu, iv = _edge_arrays(G)
     J = np.ones((n, n))

@@ -173,3 +173,15 @@ def test_lockin_reports_the_bounds_upper_value():
 def test_sigma_is_not_an_upper_candidate():
     rep = compute_bounds(cycle(7), max_power=1, cfg=CFG)
     assert not any("sigma" in line for line in rep.provenance)
+
+
+def test_closed_interval_keeps_theta_unrounded():
+    # Petersen graph: theta = alpha = 4, and theta (not rho = 5) is the source
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    rep = compute_bounds(from_edges(10, outer + spokes + inner), max_power=1,
+                         cfg=CFG, graph_desc="petersen")
+    assert rep.upper.source == "theta"
+    assert rep.lower.value == 4
+    assert rep.upper.value - rep.lower.value < 1e-6

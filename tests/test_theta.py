@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,3 +114,66 @@ def test_theta_of_complement_times_theta_at_least_n():
         a = lovasz_theta(cycle(n), tol=1e-7).hi
         bb = lovasz_theta(complement(cycle(n)), tol=1e-7).hi
         assert a * bb >= n - 1e-4
+
+
+def test_dual_bound_tight_when_top_eigenvalues_nearly_coincide():
+    # eigenvalues 2 and 2.001 on top: no margin beyond rounding may be added
+    M = np.eye(4)
+    M[0, 1] = M[1, 0] = 1.0
+    M[2, 3] = M[3, 2] = 1.001
+    hi = verify_dual_certificate(M, complete(4))
+    assert 2.001 <= hi < 2.001 + 1e-9
+
+
+def test_dual_verifier_rejects_nonfinite_and_inexact_pattern():
+    G = cycle(5)  # (0,1) is an edge, (0,2) is not
+    for bad in (math.inf, -math.inf, math.nan):
+        M = np.ones((5, 5))
+        M[0, 1] = M[1, 0] = bad
+        with pytest.raises(CertificateError):
+            verify_dual_certificate(M, G)
+    M = np.ones((5, 5))
+    M[0, 2] = M[2, 0] = 1.0 + 1e-13
+    with pytest.raises(CertificateError):
+        verify_dual_certificate(M, G)
+
+
+def test_primal_verifier_rejects_nonfinite():
+    for bad in (math.inf, math.nan):
+        X = np.eye(3) / 3
+        X[0, 1] = X[1, 0] = bad
+        with pytest.raises(CertificateError):
+            verify_primal_certificate(X, empty(3))
+
+
+def _positive_definite_exact(B):
+    """Sylvester's criterion in exact rationals: every leading principal
+    minor is positive.  Bareiss elimination leaves the k-th leading minor
+    as the k-th pivot."""
+    A = [row[:] for row in B]
+    n = len(A)
+    prev = Fraction(1)
+    for k in range(n):
+        if A[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) / prev
+        prev = A[k][k]
+    return True
+
+
+def test_dual_bound_proven_by_exact_rational_check():
+    rng = random.Random(20240)
+    for _ in range(50):
+        n = rng.randint(1, 8)
+        G = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.random() < 0.5])
+        M = np.ones((n, n))
+        for u, v in G.edges():
+            M[u, v] = M[v, u] = rng.uniform(-3, 3)
+        t = verify_dual_certificate(M, G)
+        assert t - float(np.linalg.eigvalsh(M)[-1]) < 1e-9
+        B = [[(Fraction(t) if i == j else 0) - Fraction(float(M[i, j]))
+              for j in range(n)] for i in range(n)]
+        assert _positive_definite_exact(B)
