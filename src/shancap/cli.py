@@ -20,7 +20,8 @@ from .graphs import (DEFAULT_VERTEX_LIMIT, GraphError, complement,
                      conormal_product, disjoint_union, generate,
                      strong_power, strong_product)
 from .haemers import fitting_from_json, haemers_certificate, verify_fitting
-from .kings import (Board, exact_max_kings, heuristic_max_kings,
+from .kings import (Board, KingSearchResult, canonical_placement,
+                    exact_max_kings, heuristic_max_kings,
                     layered_construction, placement_from_json,
                     placement_to_json, render_board)
 from .report import (combine_external_certificate, compute_bounds,
@@ -355,7 +356,7 @@ def _dispatch(args):
             # the best cheap upper bound instead of stalling
             res = heuristic_max_kings(board, cfg, args.vertex_limit)
             theta_p = lovasz_theta(generate("cycle", args.p), tol=1e-8)
-            cap = math.floor(theta_p.hi ** args.d + 1e-9)
+            cap = math.floor(Fraction(theta_p.hi) ** args.d)
             upper = min(cap, res.upper_bound)
             doc = {"p": args.p, "d": args.d, "count": res.count,
                    "proven": False, "upper_bound": upper,
@@ -376,9 +377,7 @@ def _dispatch(args):
                                       args.vertex_limit) if args.d > 1 else None
                 if sub is None:
                     return _fail("layered needs d >= 2")
-                floors = tuple(range(0, args.p - 1, 2))[: args.p // 2]
-                pl = layered_construction(sub.placement, floors)
-                from .kings import KingSearchResult, canonical_placement
+                pl = layered_construction(sub.placement)
                 res = KingSearchResult(canonical_placement(pl), False,
                                        board.cells)
             degraded = not res.proven_optimal

@@ -278,9 +278,6 @@ def disjoint_union(G, H):
 
 # -- isomorphism (test support) -------------------------------------------
 
-_EXACT_ISO_LIMIT = 12
-
-
 def _invariants(G):
     degs = sorted(G.adj[v].bit_count() for v in range(G.n))
     nbr_degs = sorted(
@@ -294,11 +291,10 @@ def _invariants(G):
 
 
 def is_isomorphic(G, H):
-    """Exact backtracking for n <= 12; invariant comparison beyond that."""
+    """Exact: an invariant screen, then backtracking over degree-matched
+    vertex maps (exponential in the worst case)."""
     if _invariants(G) != _invariants(H):
         return False
-    if G.n > _EXACT_ISO_LIMIT:
-        return True  # canonical invariants agree; exact check out of range
     n = G.n
     degH = [H.adj[v].bit_count() for v in range(n)]
     degG = [G.adj[v].bit_count() for v in range(n)]

@@ -108,16 +108,20 @@ def verify_placement(pl):
     return True, None
 
 
-def layered_construction(base, floors):
+def layered_construction(base, floors=None):
     """Stack copies of a d-dimensional packing into floors of a (d+1)-torus.
 
     Floors must be pairwise at cyclic distance >= 2 so kings in different
     floors can never touch; within a floor the base packing guarantees it.
+    The default floors 0, 2, 4, ... < p - 1 are floor(p/2) of them, the most
+    a p-cycle holds.
     """
+    p = base.board.p
+    if floors is None:
+        floors = range(0, p - 1, 2)
     floors = tuple(sorted(set(floors)))
     if not floors:
         raise PlacementError("need at least one floor")
-    p = base.board.p
     for f in floors:
         if not 0 <= f < p:
             raise PlacementError(f"floor {f} out of range 0..{p - 1}")
@@ -173,8 +177,7 @@ def heuristic_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     best = Placement(board, cells)
     if board.d > 1:
         sub = heuristic_max_kings(Board(board.p, board.d - 1), cfg, vertex_limit)
-        floors = tuple(range(0, board.p - 1, 2))[: board.p // 2]
-        stacked = layered_construction(sub.placement, floors)
+        stacked = layered_construction(sub.placement)
         if len(stacked) > len(best):
             best = stacked
     return KingSearchResult(canonical_placement(best), False, board.cells)

@@ -4,10 +4,14 @@ The maximum-independent-set search is a bitmask branch-and-bound in the
 style of Tomita's MCS: every node greedily covers the candidate set by
 cliques, candidates are branched in decreasing cover-class order, and a
 branch is cut as soon as the class index cannot beat the incumbent.
-Budgets degrade the search to "incumbent + bound" instead of failing.
-The node budget is checked on every node, so a search with
-``node_budget=N`` expands at most N nodes; the clock is read only every
-1024 nodes, so the time budget can be overrun by up to 1024 nodes' work.
+Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
+Program. 126, 2011) runs in the same loop: a branched vertex is discarded
+together with its orbit.
+Budgets degrade a search to "incumbent + bound" instead of failing.  Every
+exact search here (and the colouring backtrack of ``clique_cover_number``)
+ticks one ``_Budget`` per node, which checks the node count and the clock:
+``node_budget=N`` caps it at N nodes, and it overruns ``time_budget`` by at
+most one node's work.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ class CliqueCapExceeded(SolverError):
 class SolverConfig:
     """Budgets and tie-breaking for the exact searches.
 
-    ``node_budget`` caps the nodes of an independence search and is
-    checked on every node; the clock for ``time_budget`` (seconds) is read
-    every 1024 nodes of it.  A search that runs out returns its incumbent
+    ``node_budget`` caps the nodes of an exact search and ``time_budget``
+    (seconds) its wall time; both are checked on every node, so a search
+    expands at most ``node_budget`` nodes and overruns ``time_budget`` by
+    at most one node's work.  A search that runs out returns its incumbent
     unproven.
     """
 
@@ -123,6 +128,21 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _Budget:
+    """Node counter and deadline of one exact search; ``tick`` once per
+    node checks both and raises ``_BudgetExhausted`` when either is spent."""
+
+    def __init__(self, node_budget, time_budget):
+        self.nodes = 0
+        self.node_budget = node_budget
+        self.deadline = time.monotonic() + time_budget
+
+    def tick(self):
+        if self.nodes >= self.node_budget or time.monotonic() > self.deadline:
+            raise _BudgetExhausted
+        self.nodes += 1
+
+
 _REDUCTION_THRESHOLD = 64  # scan for forced picks only on small candidate sets
 
 
@@ -144,21 +164,12 @@ class _MISEngine:
         self.best = 0
         self.best_set = []
         self.cur = []
-        self.nodes = 0
-        self.node_budget = cfg.node_budget
-        self.deadline = time.monotonic() + cfg.time_budget
+        self.budget = _Budget(cfg.node_budget, cfg.time_budget)
 
     def seed_incumbent(self, vertices):
         if len(vertices) > self.best:
             self.best = len(vertices)
             self.best_set = list(vertices)
-
-    def _tick(self):
-        if self.nodes >= self.node_budget:
-            raise _BudgetExhausted
-        self.nodes += 1
-        if not self.nodes & 1023 and time.monotonic() > self.deadline:
-            raise _BudgetExhausted
 
     def cover_order(self, cand):
         """Greedy clique cover of cand: [(class_index, v)] in class order.
@@ -179,18 +190,18 @@ class _MISEngine:
                 ext &= adj[v] & rem
         return out
 
-    def root_bound(self, cand):
-        if not cand:
-            return 0
-        return self.cover_order(cand)[-1][0]
-
-    def expand(self, cand, size):
-        self._tick()
+    def expand(self, cand, size, orbit=None):
+        """Search below the current set ``self.cur`` of ``size`` vertices.
+        With ``orbit`` (vertex -> bitmask of its orbit under a symmetry of
+        the node), a branched vertex is discarded with its whole orbit and
+        the rest re-covered; the children search plainly."""
+        self.budget.tick()
         adj = self.adj
         nonadj = self.nonadj
         pushed = 0
-        # fold in candidates with <= 1 candidate neighbor: always optimal
-        if cand.bit_count() <= _REDUCTION_THRESHOLD:
+        # fold in candidates with <= 1 candidate neighbor: always optimal,
+        # but committing one would break the symmetry that ``orbit`` uses
+        if orbit is None and cand.bit_count() <= _REDUCTION_THRESHOLD:
             while True:
                 pick = -1
                 m = cand
@@ -211,12 +222,11 @@ class _MISEngine:
                     self.best_set = list(self.cur)
         try:
             order = self.cover_order(cand)
-            removed = 0
-            for i in range(len(order) - 1, -1, -1):
-                bound, v = order[i]
+            while order:
+                bound, v = order.pop()
                 if size + bound <= self.best:
                     break
-                ncand = cand & ~removed & nonadj[v]
+                ncand = cand & nonadj[v]
                 self.cur.append(v)
                 if size + 1 > self.best:
                     self.best = size + 1
@@ -224,7 +234,13 @@ class _MISEngine:
                 if ncand:
                     self.expand(ncand, size + 1)
                 self.cur.pop()
-                removed |= 1 << v
+                if orbit is None:
+                    # peeling takes the lowest id of each class first, so
+                    # the cover of cand - {v} is the rest of ``order``
+                    cand &= ~(1 << v)
+                else:
+                    cand &= ~orbit(v)
+                    order = self.cover_order(cand)
         finally:
             for _ in range(pushed):
                 self.cur.pop()
@@ -234,46 +250,26 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=()):
     """Shared driver.  ``forced`` vertices are committed up front; when
     ``orbit_fn`` is given, the first level below the forced vertices uses
     orbital branching (include a representative or discard its whole orbit).
-    Returns (vertices, proven, upper_bound)."""
+    Returns (vertices, proven, upper_bound, nodes)."""
     eng = _MISEngine(G.n, G.adj, cfg)
     cand = eng.full
-    base = list(forced)
     for v in forced:
         if not cand >> v & 1:
             raise SolverError("forced vertices are not independent")
         cand &= eng.nonadj[v]
-    eng.cur = list(base)
-    eng.seed_incumbent(list(incumbent))
-    if len(base) > eng.best:
-        eng.best = len(base)
-        eng.best_set = list(base)
-    size = len(base)
-    root_ub = size + eng.root_bound(cand)
+    eng.cur = list(forced)
+    eng.seed_incumbent(incumbent)
+    eng.seed_incumbent(forced)
+    size = len(forced)
+    root_ub = size + (eng.cover_order(cand)[-1][0] if cand else 0)
     proven = True
     try:
-        if orbit_fn is None:
-            if cand:
-                eng.expand(cand, size)
-        else:
-            remaining = cand
-            while remaining:
-                order = eng.cover_order(remaining)
-                bound, v = order[-1]
-                if size + bound <= eng.best:
-                    break
-                ncand = remaining & eng.nonadj[v]
-                eng.cur.append(v)
-                if size + 1 > eng.best:
-                    eng.best = size + 1
-                    eng.best_set = list(eng.cur)
-                if ncand:
-                    eng.expand(ncand, size + 1)
-                eng.cur.pop()
-                remaining &= ~orbit_fn(v)
+        if cand:
+            eng.expand(cand, size, orbit_fn)
     except _BudgetExhausted:
         proven = False
     upper = eng.best if proven else max(eng.best, root_ub)
-    return tuple(sorted(eng.best_set)), proven, upper, eng.nodes
+    return tuple(sorted(eng.best_set)), proven, upper, eng.budget.nodes
 
 
 def max_independent_set(G, cfg=None):
@@ -492,8 +488,8 @@ def _greedy_clique(adj, n):
 
 def _color_exact(adj, n, k, clique_mask, budget):
     """Backtracking k-coloring; the seed clique is pre-colored 0,1,2,...
-    budget is a mutable [nodes_left, deadline], both checked on every node;
-    returns list of class masks or None."""
+    ``budget`` (a ``_Budget``) is ticked on every node; returns list of
+    class masks or None."""
     color = [-1] * n
     classes = [0] * k
     used = 0
@@ -531,9 +527,7 @@ def _color_exact(adj, n, k, clique_mask, budget):
     def bt(remaining, used):
         if remaining == 0:
             return True
-        budget[0] -= 1
-        if budget[0] <= 0 or time.monotonic() > budget[1]:
-            raise _BudgetExhausted
+        budget.tick()
         v = pick()
         limit = min(k, used + 1)
         for c in range(limit):
@@ -557,10 +551,11 @@ def clique_cover_number(G, cfg=None):
 
     Returns (value, CliqueCover); the cover is valid either way, with
     proven_optimal=False when the search degraded to greedy.  The exact
-    search stops after at most 2,000,000 backtrack nodes (fewer if
-    ``node_budget`` is smaller) and reads the clock on every node, so it
-    overruns ``time_budget`` by at most one node's work: one scan of the
-    uncolored vertices.  The greedy bounds before it are not budgeted.
+    search ticks one budget of min(``node_budget``, 2,000,000) backtrack
+    nodes over all values of k, checking the node count and the clock on
+    every node, so it overruns ``time_budget`` by at most one node's work:
+    one scan of the uncolored vertices.  The greedy bounds before it are
+    not budgeted.
     """
     cfg = cfg or SolverConfig()
     H = complement(G)
@@ -572,8 +567,7 @@ def clique_cover_number(G, cfg=None):
     lb = clique_mask.bit_count()
     best_classes = greedy_classes
     proven = lb == ub
-    budget = [min(cfg.node_budget, 2_000_000),
-              time.monotonic() + cfg.time_budget]
+    budget = _Budget(min(cfg.node_budget, 2_000_000), cfg.time_budget)
     if not proven:
         try:
             for k in range(lb, ub):

@@ -165,29 +165,27 @@ def _dual_from_multiplier(Y, G):
 def _polish_dual(M, iu, iv, steps):
     """Subgradient sweep on the free edge entries to shrink the largest
     eigenvalue; keeps the best iterate."""
-    def lam(A):
-        return float(np.linalg.eigvalsh(A)[-1])
-
     best = M.copy()
-    best_val = lam(M)
     cur = M.copy()
+    w, Q = np.linalg.eigh(cur)
+    best_val = float(w[-1])
     lr = 0.25
     for _ in range(steps):
-        w, Q = np.linalg.eigh(cur)
         v = Q[:, -1]
         trial = cur.copy()
         g = 2.0 * v[iu] * v[iv]
         trial[iu, iv] -= lr * g
         trial[iv, iu] -= lr * g
-        val = lam(trial)
+        tw, tQ = np.linalg.eigh(trial)
+        val = float(tw[-1])
         if val < best_val - 1e-15:
-            cur = trial
+            cur, w, Q = trial, tw, tQ
             best = trial.copy()
             best_val = val
             lr *= 1.15
         else:
             if val < w[-1]:
-                cur = trial
+                cur, w, Q = trial, tw, tQ
             lr *= 0.6
             if lr < 1e-13:
                 break

@@ -195,3 +195,21 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "usage: shancap" in proc.stdout
+
+
+def test_kings_theta_cap_is_exact(capsys):
+    # floor(theta(C5)^4) = floor(sqrt(5)^4) = 25, with no float margin
+    code, out, _ = run_capture(
+        capsys, ["kings", "--p", "5", "--d", "4", "--json"])
+    assert code == 0
+    assert json.loads(out)["upper_bound"] == 25
+
+
+def test_kings_layered_method(capsys):
+    # alpha(C5) = 2 stacked on floors 0 and 2 of the 5-cycle
+    code, out, _ = run_capture(
+        capsys, ["kings", "--p", "5", "--d", "2", "--method", "layered",
+                 "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 4 and doc["proven"] is False

@@ -166,3 +166,8 @@ def test_is_isomorphic_negative():
     G = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     H = from_edges(4, [(0, 2), (2, 1), (1, 3)])  # relabeled path
     assert is_isomorphic(G, H)
+
+
+def test_is_isomorphic_exact_beyond_invariants():
+    # same degrees, neighbour degrees and triangle count, different cycles
+    assert not is_isomorphic(disjoint_union(cycle(6), cycle(7)), cycle(13))

@@ -172,3 +172,11 @@ def test_render_svg_and_limits():
     assert svg.startswith("<svg") and svg.count("<circle") == 5
     with pytest.raises(PlacementError):
         render_board(Placement(Board(3, 4), ()), "ascii")
+
+
+def test_exact_kings_under_a_tiny_node_budget():
+    res = exact_max_kings(Board(7, 3), SolverConfig(node_budget=10))
+    assert not res.proven_optimal
+    assert verify_placement(res.placement) == (True, None)
+    assert res.count >= 30  # the heuristic incumbent survives the cut
+    assert res.upper_bound >= res.count

@@ -210,3 +210,12 @@ def test_clique_cover_honours_time_budget():
     assert value == len(cover.parts)
     assert sorted(v for part in cover.parts for v in part) == list(range(G.n))
     assert all(is_clique(G, part) for part in cover.parts)
+
+
+def test_clique_cover_honours_node_budget():
+    G = strong_power(cycle(5), 3)
+    value, cover = clique_cover_number(G, SolverConfig(node_budget=1))
+    assert not cover.proven_optimal
+    assert value == len(cover.parts)
+    assert sorted(v for part in cover.parts for v in part) == list(range(G.n))
+    assert all(is_clique(G, part) for part in cover.parts)
