@@ -18,7 +18,8 @@ from .haemers import (FittingMatrix, FittingReport, adjacency_certificate,
                       identity_certificate, matrix_rank, verify_fitting)
 from .kings import (Board, KingSearchResult, Placement, exact_max_kings,
                     heuristic_max_kings, king_graph, layered_construction,
-                    render_board, toroidal_chebyshev, verify_placement)
+                    product_placement, render_board, toroidal_chebyshev,
+                    verify_placement)
 from .report import (BoundsReport, LockinTable, combine_external_certificate,
                      compute_bounds, lockin_scan, render_lockin,
                      render_report, report_to_json, verify_report)

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from fractions import Fraction
 
 from . import graphio
 from .fractional import rosenfeld_number
@@ -353,19 +351,18 @@ def _dispatch(args):
         cfg = _cfg(args)
         if args.method == "exact" and board.cells > 130 and not args.force_exact:
             # declared out of the default budget: report the incumbent and
-            # the best cheap upper bound instead of stalling
+            # its theta cap instead of stalling
             res = heuristic_max_kings(board, cfg, args.vertex_limit)
-            theta_p = lovasz_theta(generate("cycle", args.p), tol=1e-8)
-            cap = math.floor(Fraction(theta_p.hi) ** args.d)
-            upper = min(cap, res.upper_bound)
             doc = {"p": args.p, "d": args.d, "count": res.count,
-                   "proven": False, "upper_bound": upper,
+                   "proven": res.proven_optimal,
+                   "upper_bound": res.upper_bound,
                    "cells": [list(c) for c in res.placement.cells],
                    "note": "exact search out of default budget; "
                            "--force-exact overrides"}
-            degraded = True
-            text = (f"kings({args.p},{args.d}) >= {res.count} "
-                    f"(upper bound {upper}; exact search skipped, "
+            degraded = not res.proven_optimal
+            text = (f"kings({args.p},{args.d}) "
+                    f"{'=' if res.proven_optimal else '>='} {res.count} "
+                    f"(upper bound {res.upper_bound}; exact search skipped, "
                     f"use --force-exact)")
         else:
             if args.method == "exact":

@@ -1,22 +1,40 @@
-"""Toroidal king packings: boards, symmetry-reduced exact search, layered
+"""Toroidal king packings: boards, symmetry-reduced exact search, product
 constructions, and board rendering.
 
-The exact search feeds the generic branch-and-bound, but first pins one
-king at the origin (any packing can be translated there) and then branches
-the level below orbitally under the origin stabilizer (coordinate
-permutations and per-axis reflections): include a representative or
-discard its whole orbit.  Deeper levels run the plain search.
+A king packing of the p^d torus is an independent set of C_p^d, the d-th
+strong power of the p-cycle.  Two facts about strong products drive the
+search:
+
+- θ multiplies under the strong product (Lovász 1979), so
+  ⌊θ(C_p)^d⌋, from the certified upper end of θ(C_p), caps every packing.
+- Independent sets multiply too: packings of the (p, a) and (p, b) tori
+  give one of the (p, a + b) torus (``product_placement``).  Stacking a
+  packing on the floors 0, 2, 4, ... of one more axis
+  (``layered_construction``) is the case b = 1.
+
+The exact search is seeded with the best greedy or product packing and
+stops as soon as that incumbent meets the cap, with no search at all when
+the seed already does.  Otherwise it feeds the generic branch-and-bound,
+but first pins one king at the origin (any packing can be translated
+there) and then branches the level below orbitally under the origin
+stabilizer (coordinate permutations and per-axis reflections): include a
+representative or discard its whole orbit.  Deeper levels run the plain
+search.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 from .graphs import DEFAULT_VERTEX_LIMIT, ProductIndex, cycle, strong_power
-from .solvers import (IndependentSet, SolverConfig, _run_engine,
-                      heuristic_independent_set, is_independent_set)
+from .solvers import (SolverConfig, _run_engine, heuristic_independent_set,
+                      is_independent_set)
+from .theta import lovasz_theta
 
 
 class PlacementError(ValueError):
@@ -108,17 +126,49 @@ def verify_placement(pl):
     return True, None
 
 
+@lru_cache(maxsize=None)
+def _theta_cycle_hi(p):
+    return lovasz_theta(cycle(p)).hi
+
+
+def _theta_cap(p, d):
+    """⌊θ(C_p)^d⌋ from the certified upper end of θ(C_p), computed in exact
+    arithmetic: no packing of the p^d torus has more kings."""
+    return math.floor(Fraction(_theta_cycle_hi(p)) ** d)
+
+
+def product_placement(first, second):
+    """Packing of the (p, a + b) torus from packings of the (p, a) and (p, b)
+    tori: the cells x + y for y in ``second`` and x in ``first``.
+
+    Two distinct cells differ in x or in y, hence by at least 2 (mod p) in
+    some coordinate: the strong product of independent sets is independent.
+    """
+    p = first.board.p
+    if second.board.p != p:
+        raise PlacementError(f"boards differ in p: {p} and {second.board.p}")
+    board = Board(p, first.board.d + second.board.d)
+    return Placement(board, tuple(x + y for y in second.cells
+                                  for x in first.cells))
+
+
+def _floors(p):
+    """The floors 0, 2, 4, ... < p - 1 of the p-cycle: floor(p/2) of them,
+    the most a p-cycle holds."""
+    return range(0, p - 1, 2)
+
+
 def layered_construction(base, floors=None):
     """Stack copies of a d-dimensional packing into floors of a (d+1)-torus.
 
     Floors must be pairwise at cyclic distance >= 2 so kings in different
     floors can never touch; within a floor the base packing guarantees it.
-    The default floors 0, 2, 4, ... < p - 1 are floor(p/2) of them, the most
-    a p-cycle holds.
+    This is ``product_placement`` with a packing of the p-cycle; the
+    default floors are ``_floors(p)``.
     """
     p = base.board.p
     if floors is None:
-        floors = range(0, p - 1, 2)
+        floors = _floors(p)
     floors = tuple(sorted(set(floors)))
     if not floors:
         raise PlacementError("need at least one floor")
@@ -133,9 +183,8 @@ def layered_construction(base, floors=None):
     ok, pair = verify_placement(base)
     if not ok:
         raise PlacementError(f"base placement invalid at cell pair {pair}")
-    board = Board(p, base.board.d + 1)
-    cells = tuple(cell + (f,) for f in floors for cell in base.cells)
-    out = Placement(board, cells)
+    out = product_placement(base, Placement(Board(p, 1),
+                                            tuple((f,) for f in floors)))
     ok, pair = verify_placement(out)
     if not ok:
         raise PlacementError(f"layered placement invalid at cell pair {pair}")
@@ -168,27 +217,40 @@ def _stabilizer_orbit(board, cell):
 
 
 def heuristic_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
-    """Randomized-greedy packing, strengthened by the layered construction
-    from one dimension down whenever that helps."""
+    """Best of a randomized-greedy packing and the products of the packings
+    found for (p, d - a) and (p, a), a = 1..floor(d/2); each smaller board
+    is solved once.  On one axis the floor packing is optimal.
+
+    The upper bound is the θ cap ⌊θ(C_p)^d⌋, and the result is proven
+    optimal when the packing meets it."""
     cfg = cfg or SolverConfig()
-    G = king_graph(board, vertex_limit)
-    found = heuristic_independent_set(G, cfg)
-    cells = tuple(G.labels[v] for v in found.vertices)
-    best = Placement(board, cells)
-    if board.d > 1:
-        sub = heuristic_max_kings(Board(board.p, board.d - 1), cfg, vertex_limit)
-        stacked = layered_construction(sub.placement)
-        if len(stacked) > len(best):
-            best = stacked
-    return KingSearchResult(canonical_placement(best), False, board.cells)
+    p = board.p
+    best = {1: Placement(Board(p, 1), tuple((f,) for f in _floors(p)))}
+    for k in range(2, board.d + 1):
+        sub = Board(p, k)
+        G = king_graph(sub, vertex_limit)
+        found = heuristic_independent_set(G, cfg)
+        pl = Placement(sub, tuple(G.labels[v] for v in found.vertices))
+        for a in range(1, k // 2 + 1):
+            prod = product_placement(best[k - a], best[a])
+            if len(prod) > len(pl):
+                pl = prod
+        best[k] = canonical_placement(pl)
+    cap = _theta_cap(p, board.d)
+    return KingSearchResult(best[board.d], len(best[board.d]) >= cap, cap)
 
 
 def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Exact packing number of the toroidal board within budget.
 
-    Symmetry breaking: the first king is fixed at the origin, and the
-    branching level right below it prunes whole orbits of the origin
-    stabilizer.  Cross-checked in tests against the generic solver.
+    The search starts from ``heuristic_max_kings`` and stops as soon as its
+    incumbent meets the θ cap ⌊θ(C_p)^d⌋, which then proves it optimal
+    (with no search node at all when the seed already meets it, as the
+    product packing 5 * 5 does on (5, 4)).  The reported upper bound never
+    exceeds the cap.  Symmetry breaking: the first king is fixed at the
+    origin, and the branching level right below it prunes whole orbits of
+    the origin stabilizer.  Cross-checked in tests against the generic
+    solver.
     """
     cfg = cfg or SolverConfig()
     G = king_graph(board, vertex_limit)
@@ -205,7 +267,8 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
         return mask
 
     verts, proven, upper, _ = _run_engine(
-        G, cfg, forced=(origin,), orbit_fn=orbit_mask, incumbent=incumbent_ids)
+        G, cfg, forced=(origin,), orbit_fn=orbit_mask, incumbent=incumbent_ids,
+        cap=_theta_cap(board.p, board.d))
     if not is_independent_set(G, verts):
         raise PlacementError("internal error: search returned adjacent kings")
     pl = canonical_placement(Placement(board, tuple(idx.decode(v) for v in verts)))

@@ -128,6 +128,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _CapReached(Exception):
+    """The incumbent meets the caller's proven upper bound: it is optimal."""
+
+
 class _Budget:
     """Node counter and deadline of one exact search; ``tick`` once per
     node checks both and raises ``_BudgetExhausted`` when either is spent."""
@@ -155,7 +159,7 @@ class _MISEngine:
     incumbent the whole remaining node is cut.
     """
 
-    def __init__(self, n, adj, cfg):
+    def __init__(self, n, adj, cfg, cap=None):
         self.n = n
         self.adj = adj
         full = (1 << n) - 1
@@ -165,11 +169,20 @@ class _MISEngine:
         self.best_set = []
         self.cur = []
         self.budget = _Budget(cfg.node_budget, cfg.time_budget)
+        self.cap = n + 1 if cap is None else cap  # no set reaches n + 1
 
     def seed_incumbent(self, vertices):
         if len(vertices) > self.best:
             self.best = len(vertices)
             self.best_set = list(vertices)
+
+    def improve(self, size):
+        """``self.cur`` (of ``size`` vertices) is the new incumbent; raise
+        ``_CapReached`` once it meets the cap."""
+        self.best = size
+        self.best_set = list(self.cur)
+        if size >= self.cap:
+            raise _CapReached
 
     def cover_order(self, cand):
         """Greedy clique cover of cand: [(class_index, v)] in class order.
@@ -218,8 +231,7 @@ class _MISEngine:
                 self.cur.append(pick)
                 pushed += 1
                 if size > self.best:
-                    self.best = size
-                    self.best_set = list(self.cur)
+                    self.improve(size)
         try:
             order = self.cover_order(cand)
             while order:
@@ -229,8 +241,7 @@ class _MISEngine:
                 ncand = cand & nonadj[v]
                 self.cur.append(v)
                 if size + 1 > self.best:
-                    self.best = size + 1
-                    self.best_set = list(self.cur)
+                    self.improve(size + 1)
                 if ncand:
                     self.expand(ncand, size + 1)
                 self.cur.pop()
@@ -246,12 +257,15 @@ class _MISEngine:
                 self.cur.pop()
 
 
-def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=()):
+def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
     """Shared driver.  ``forced`` vertices are committed up front; when
     ``orbit_fn`` is given, the first level below the forced vertices uses
     orbital branching (include a representative or discard its whole orbit).
+    ``cap``, a proven upper bound on the answer, ends the search as soon as
+    the incumbent meets it (with 0 nodes when the seed already does) and
+    caps the reported upper bound.
     Returns (vertices, proven, upper_bound, nodes)."""
-    eng = _MISEngine(G.n, G.adj, cfg)
+    eng = _MISEngine(G.n, G.adj, cfg, cap)
     cand = eng.full
     for v in forced:
         if not cand >> v & 1:
@@ -264,11 +278,13 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=()):
     root_ub = size + (eng.cover_order(cand)[-1][0] if cand else 0)
     proven = True
     try:
-        if cand:
+        if cand and eng.best < eng.cap:
             eng.expand(cand, size, orbit_fn)
     except _BudgetExhausted:
         proven = False
-    upper = eng.best if proven else max(eng.best, root_ub)
+    except _CapReached:
+        pass
+    upper = eng.best if proven else min(max(eng.best, root_ub), eng.cap)
     return tuple(sorted(eng.best_set)), proven, upper, eng.budget.nodes
 
 
