@@ -29,7 +29,7 @@ from .solvers import (SolverConfig, clique_cover_number, clique_number,
                       max_clique, max_independent_set)
 from .theta import lovasz_theta
 from .umbrella import (odd_cycle_umbrella, tensor_umbrella, umbrella_from_json,
-                       umbrella_to_json, umbrella_value, verify_umbrella)
+                       umbrella_to_json, verify_umbrella)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -448,16 +448,11 @@ def _umbrella(args):
         rep = verify_umbrella(u, G)
         doc = {"graph": spec, "valid": rep.valid,
                "max_orthogonality_residual": rep.max_orthogonality_residual,
-               "value": umbrella_value(u) if rep.valid else None,
+               "value": rep.value if rep.valid else None,
                "violations": [list(map(str, v)) for v in rep.violations[:10]]}
-        if args.json:
-            print(json.dumps(doc, sort_keys=True))
-        else:
-            if rep.valid:
-                print(f"umbrella valid for {spec}; value "
-                      f"{umbrella_value(u):.9f} bounds alpha and the capacity")
-            else:
-                print(f"umbrella INVALID for {spec}: {rep.violations[:5]}")
+        _emit(args, doc, f"umbrella valid for {spec}; value {rep.value:.9f} "
+              "bounds alpha and the capacity" if rep.valid else
+              f"umbrella INVALID for {spec}: {rep.violations[:5]}")
         return EXIT_OK if rep.valid else EXIT_INVALID
     if args.action == "tensor":
         with open(args.left) as fh:

@@ -1,12 +1,12 @@
 """Assembles the bound families into a certified capacity interval.
 
 Lower bounds come from independent sets in strong powers (value is the
-k-th root of the witness size); upper bounds take the best of the theta
-bracket, the fractional clique bound rho, and any imported verified
-certificate.  The clique cover number sigma is not a candidate: theta <=
-rho <= sigma always holds, so sigma can never tighten the interval.  The
-theta bracket is computed once on the base graph; it already bounds every
-power because it multiplies.
+k-th root of the witness size); the upper bound is theta's ``hi``, unless an
+imported certificate proves less.  rho and sigma are not computed: theta <=
+rho <= sigma always holds, so neither can tighten the interval.  The theta
+bracket is computed once on the base graph; it already bounds every power
+because it multiplies.  ``certified_upper`` re-derives the bound that each
+upper certificate proves, both for imports and in ``verify_report``.
 Every reported bound carries a machine-checkable witness, and reports with
 identical seed and budget serialize byte-for-byte identically.
 
@@ -25,17 +25,16 @@ import json
 import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
+from fractions import Fraction
 
-from .fractional import rosenfeld_number
 from .graphs import Graph, VertexLimitError, cycle, strong_power
 from .haemers import FittingError, FittingMatrix, haemers_certificate
-from .kings import Placement, toroidal_chebyshev, verify_placement
-from .solvers import (CliqueCapExceeded, SolverConfig,
-                      heuristic_independent_set, is_independent_set,
-                      max_independent_set)
-from .theta import lovasz_theta
-from .umbrella import (DensityUmbrella, VectorUmbrella, umbrella_value,
-                       verify_umbrella)
+from .kings import Board, Placement, verify_placement
+from .solvers import (SolverConfig, heuristic_independent_set,
+                      is_independent_set, max_independent_set)
+from .theta import (CertificateError, ThetaBracket, lovasz_theta,
+                    verify_dual_certificate)
+from .umbrella import DensityUmbrella, VectorUmbrella, verify_umbrella
 
 
 CLOSED_TOL = 1e-6  # theta's stopping width; a narrower interval is closed
@@ -122,17 +121,6 @@ def _power_row(G, k, cfg, vertex_limit):
     return PowerRow(k, len(best), root, exact, witness)
 
 
-def _upper_candidates(G):
-    bracket = lovasz_theta(G, tol=CLOSED_TOL)
-    out = [("theta", bracket.hi, bracket)]
-    try:
-        rho, weighting = rosenfeld_number(G)
-        out.append(("rho", float(rho), weighting))
-    except CliqueCapExceeded:
-        pass
-    return out, bracket
-
-
 def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                    vertex_limit=100_000):
     """Certified interval around the capacity of G, with per-power table."""
@@ -155,19 +143,17 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                                "exact" if row.exact else "heuristic")
     if lower is None:
         raise ReportError("no power produced a lower bound")
-    candidates, bracket = _upper_candidates(G)
-    source, value, certificate = min(candidates, key=lambda c: (c[1], c[0]))
+    bracket = lovasz_theta(G, tol=CLOSED_TOL)
+    value = bracket.hi
     provenance.append(
         f"theta bracket [{bracket.lo!r}, {bracket.hi!r}]"
         f"{'' if bracket.converged else ' (not converged)'}")
-    for name, val, _ in candidates:
-        provenance.append(f"upper candidate {name} = {val!r}")
     if value - lower.value > CLOSED_TOL:  # interval still open: round outward
         rounded = _round_out(value, 6)
         if rounded != value:
             provenance.append(f"upper {value!r} rounded up to {rounded!r}")
         value = rounded
-    upper = UpperBound(value, source, certificate)
+    upper = UpperBound(value, "theta", bracket)
     report = BoundsReport(G, graph_desc, lower, upper, tuple(table),
                           tuple(provenance), cfg.seed,
                           (cfg.time_budget, cfg.node_budget))
@@ -176,10 +162,10 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
 
 
 def _check_order(report):
-    if report.lower.value > report.upper.value + 1e-9:
-        raise ReportError(
-            f"lower bound {report.lower.value} exceeds upper bound "
-            f"{report.upper.value}; a certificate is wrong")
+    lower, upper = report.lower, report.upper.value
+    if len(lower.witness) > Fraction(upper) ** lower.power:  # exact
+        raise ReportError(f"lower bound {lower.value} exceeds upper bound "
+                          f"{upper}; a certificate is wrong")
 
 
 @dataclass(frozen=True)
@@ -210,6 +196,29 @@ def lockin_scan(G, p_max=2, cfg=None, graph_desc="graph", vertex_limit=100_000):
     return LockinTable(graph_desc, upper, rows, locked)
 
 
+def certified_upper(G, cert):
+    """(source, value): the bound on the capacity of G that ``cert`` proves:
+    the certified lambda_max of theta's dual matrix, an umbrella's certified
+    value or a fitting matrix's rank.  CertificateRejected if none."""
+    if isinstance(cert, ThetaBracket):
+        try:
+            return "theta", verify_dual_certificate(cert.dual_certificate, G)
+        except CertificateError as exc:
+            raise CertificateRejected(f"theta certificate rejected: {exc}")
+    if isinstance(cert, (VectorUmbrella, DensityUmbrella)):
+        check = verify_umbrella(cert, G)
+        if not check.valid or check.value == math.inf:
+            raise CertificateRejected(
+                f"umbrella rejected: {check.violations[:3]}")
+        return "umbrella", check.value
+    if isinstance(cert, FittingMatrix):
+        try:
+            return "haemers", float(haemers_certificate(G, cert))
+        except FittingError as exc:
+            raise CertificateRejected(f"fitting matrix rejected: {exc}")
+    raise CertificateRejected(f"unsupported certificate type {type(cert)!r}")
+
+
 def combine_external_certificate(report, cert):
     """Fold an imported certificate into a report.
 
@@ -219,31 +228,6 @@ def combine_external_certificate(report, cert):
     report stays as it was.
     """
     G = report.graph
-    if isinstance(cert, (VectorUmbrella, DensityUmbrella)):
-        check = verify_umbrella(cert, G)
-        if not check.valid:
-            raise CertificateRejected(
-                f"umbrella rejected: {check.violations[:3]}")
-        value = umbrella_value(cert)
-        if value == float("inf"):
-            raise CertificateRejected("umbrella decorrelates from its handle")
-        if value < report.upper.value:
-            report = replace(report, upper=UpperBound(value, "umbrella", cert),
-                             provenance=report.provenance +
-                             (f"imported umbrella upper bound {value!r}",))
-        _check_order(report)
-        return report
-    if isinstance(cert, FittingMatrix):
-        try:
-            rank = haemers_certificate(G, cert)
-        except FittingError as exc:
-            raise CertificateRejected(f"fitting matrix rejected: {exc}")
-        if rank < report.upper.value:
-            report = replace(report, upper=UpperBound(float(rank), "haemers", cert),
-                             provenance=report.provenance +
-                             (f"imported fitting-matrix rank {rank}",))
-        _check_order(report)
-        return report
     if isinstance(cert, Placement):
         board = cert.board
         ref = cycle(board.p)
@@ -262,32 +246,40 @@ def combine_external_certificate(report, cert):
                 lower=LowerBound(value, board.d, witness, False, "placement"),
                 provenance=report.provenance +
                 (f"imported {len(cert)}-king packing on ({board.p},{board.d})",))
-        _check_order(report)
-        return report
-    raise CertificateRejected(f"unsupported certificate type {type(cert)!r}")
+    else:
+        source, value = certified_upper(G, cert)
+        if value < report.upper.value:
+            report = replace(report, upper=UpperBound(value, source, cert),
+                             provenance=report.provenance +
+                             (f"imported {source} upper bound {value!r}",))
+    _check_order(report)
+    return report
 
 
 def verify_report(report, vertex_limit=100_000):
     """Re-check the witnesses independent of how the report was assembled:
-    the lower witness must be an independent set of the stated power, and
-    the pair must still bracket."""
+    the lower witness must be an independent set of the stated power, the
+    upper certificate must prove the stated upper value, and the pair must
+    still bracket."""
     k = report.lower.power
     if report.lower.method == "placement":
-        p = report.graph.n
-        cells = report.lower.witness
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                if toroidal_chebyshev(cells[i], cells[j], p) < 2:
-                    raise ReportError(f"lower witness pair {(i, j)} adjacent")
+        board = Board(report.graph.n, k)
+        ok, pair = verify_placement(Placement(board, report.lower.witness))
+        if not ok:
+            raise ReportError(f"lower witness pair {pair} adjacent")
     else:
         Gk = strong_power(report.graph, k, vertex_limit=vertex_limit)
         ids = {Gk.label_of(v): v for v in range(Gk.n)}
         verts = [ids[cell] for cell in report.lower.witness]
         if not is_independent_set(Gk, verts):
             raise ReportError("lower witness is not independent")
-    expected = len(report.lower.witness) ** (1.0 / k)
-    if abs(expected - report.lower.value) > 1e-12:
+    if len(report.lower.witness) ** (1.0 / k) != report.lower.value:
         raise ReportError("lower bound value does not match its witness")
+    _, proven = certified_upper(report.graph, report.upper.certificate)
+    if proven > report.upper.value:
+        raise ReportError(
+            f"upper certificate proves {proven!r}, not the stated "
+            f"{report.upper.value!r}")
     _check_order(report)
     return True
 

@@ -121,8 +121,9 @@ def verify_dual_certificate(M, G):
 
 
 def verify_primal_certificate(X, G, tol=1e-9):
-    """Check symmetry, eigenvalue floor, trace, and edge zeros; return the
-    certified objective value <J,X> after repairing roundoff."""
+    """Check symmetry, eigenvalue floor, trace, and edge zeros within
+    ``tol``; return a proven lower bound on theta from the repaired matrix
+    (edges zeroed, lifted to PSD by a certified shift), with that matrix."""
     n = G.n
     X = np.asarray(X, dtype=float)
     if X.shape != (n, n):
@@ -140,16 +141,20 @@ def verify_primal_certificate(X, G, tol=1e-9):
     lam_min = float(np.linalg.eigvalsh(S)[0])
     if lam_min < -tol:
         raise CertificateError("primal certificate not PSD within tolerance")
-    # repair: zero edges exactly, lift the eigenvalue floor, renormalize
+    # repair: zero edges exactly; X = S + shift*I is PSD by a proven shift,
+    # and <J,X>/tr X is bounded below from the exactly rounded sums
     if len(iu):
         S[iu, iv] = 0.0
         S[iv, iu] = 0.0
-    lam_min = float(np.linalg.eigvalsh(S)[0])
-    if lam_min < 0.0:
-        mu = -lam_min + np.finfo(float).tiny
-        S = (S + mu * np.eye(n)) / (1.0 + n * mu)
-    S = S / np.trace(S)
-    return float(S.sum()), S
+    shift = Fraction(max(0.0, _lambda_max_certified(-S)))
+    total = Fraction(math.nextafter(math.fsum(S.ravel()), -math.inf))
+    trace = Fraction(math.nextafter(math.fsum(np.diag(S)), math.inf))
+    value = max(total + n * shift, Fraction(0)) / (trace + n * shift)
+    lo = float(value)
+    if Fraction(lo) > value:
+        lo = math.nextafter(lo, -math.inf)
+    S[np.diag_indices(n)] += float(shift)
+    return lo, S / np.trace(S)
 
 
 def _dual_from_multiplier(Y, G):

@@ -8,19 +8,29 @@ number, and it multiplies under tensor products, so it also bounds the
 capacity.  Correlation with the handle means (c.u)^2 for vector states and
 tr(C A) for density states: with that pairing the rank-1 embedding of a
 vector umbrella keeps the value unchanged.
+
+``verify_umbrella`` screens validity with tolerances (norms, traces, PSD
+floor, orthogonality), but the value it reports uses none of them: it is
+the value of an exact umbrella built from the Gram matrix of handle and
+states, with the non-edge entries set to 0, the diagonal set to 1 and the
+smallest eigenvalue certified (``_certified_value``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from .theta import _lambda_max_certified
+
 DEFAULT_ORTHOGONALITY_TOL = 1e-9
-DEFAULT_UNIT_TOL = 1e-9
-DEFAULT_PSD_FLOOR = 1e-9
+UNIT_TOL = 1e-9  # slack on norms, traces and symmetry in the validity screen
+PSD_FLOOR = 1e-9  # most negative eigenvalue a density state may have
+PURIFY_TOL = 1e-9  # purify: relative eigenvalue size for range(A) and ties
 
 
 class UmbrellaError(ValueError):
@@ -62,6 +72,7 @@ class UmbrellaReport:
     valid: bool
     violations: tuple
     max_orthogonality_residual: float
+    value: float = math.inf  # certified; infinite unless valid
 
     def __bool__(self):
         return self.valid
@@ -75,33 +86,12 @@ class PurifyResult:
     value_after: float
 
 
-def _dot(a, b):
-    out = 0
-    for x, y in zip(a, b):
-        out = out + x * y
-    return out
-
-
-def _hs(A, B):
-    out = 0
-    for ra, rb in zip(A, B):
-        out = out + _dot(ra, rb)
-    return out
-
-
-def _trace(A):
-    out = 0
-    for i, row in enumerate(A):
-        out = out + row[i]
-    return out
-
-
 def handle_correlations(u):
     """Correlation of every state with the handle: (c.u)^2 for vectors,
-    tr(C A) for densities."""
+    tr(C A) for densities.  Exact for arrays of Fractions."""
     if isinstance(u, VectorUmbrella):
-        return [_dot(u.handle, s) ** 2 for s in u.states]
-    return [_hs(u.handle, s) for s in u.states]
+        return [np.dot(u.handle, s) ** 2 for s in u.states]
+    return [np.sum(u.handle * s) for s in u.states]
 
 
 def umbrella_opening(u):
@@ -117,7 +107,7 @@ def umbrella_value(u):
     m = min(corr)
     if not m > 0:
         return math.inf
-    weight = _dot(u.handle, u.handle) if isinstance(u, VectorUmbrella) else _trace(u.handle)
+    weight = np.dot(u.handle, u.handle) if isinstance(u, VectorUmbrella) else np.trace(u.handle)
     val = weight / m
     return val.item() if hasattr(val, "item") else val
 
@@ -162,56 +152,87 @@ def trivial_umbrella(n, dim=1):
     return VectorUmbrella(dim, handle.copy(), states)
 
 
-def verify_umbrella(u, G, orth_tol=DEFAULT_ORTHOGONALITY_TOL,
-                    unit_tol=DEFAULT_UNIT_TOL, psd_floor=DEFAULT_PSD_FLOOR):
+def verify_umbrella(u, G, orth_tol=DEFAULT_ORTHOGONALITY_TOL):
     """Check every umbrella invariant against G; lists each violation with
-    its residual.  Valid umbrellas are accepted as upper-bound certificates
-    by the report assembler."""
-    violations = []
+    its residual.  A valid umbrella carries its certified ``value``, which
+    the report assembler accepts as an upper bound."""
     if u.n != G.n:
         return UmbrellaReport(False, (("count", (u.n, G.n), 0.0),), 0.0)
+    shape = (u.dim,) if isinstance(u, VectorUmbrella) else (u.dim, u.dim)
+    if np.shape(u.handle) != shape or np.shape(u.states)[1:] != shape:
+        return UmbrellaReport(False, (("dimension", u.dim, 0.0),), 0.0)
+    violations = []
     if isinstance(u, VectorUmbrella):
-        if len(u.handle) != u.dim or u.states.shape[1] != u.dim:
-            return UmbrellaReport(False, (("dimension", u.dim, 0.0),), 0.0)
-        r = abs(_dot(u.handle, u.handle) - 1)
-        if r > unit_tol:
-            violations.append(("handle_norm", None, float(r)))
-        for i, s in enumerate(u.states):
-            r = abs(_dot(s, s) - 1)
-            if r > unit_tol:
-                violations.append(("state_norm", i, float(r)))
-        pair = lambda a, b: _dot(u.states[a], u.states[b])
+        vectors = [("handle_norm", None, u.handle)] + \
+            [("state_norm", i, s) for i, s in enumerate(u.states)]
+        for kind, where, s in vectors:
+            r = abs(np.dot(s, s) - 1)
+            if r > UNIT_TOL:
+                violations.append((kind, where, float(r)))
     else:
-        if u.handle.shape != (u.dim, u.dim) or u.states.shape[1:] != (u.dim, u.dim):
-            return UmbrellaReport(False, (("dimension", u.dim, 0.0),), 0.0)
         for name, A in [("handle", u.handle)] + [(i, s) for i, s in enumerate(u.states)]:
-            problem = _density_violation(A, psd_floor, unit_tol)
+            problem = _density_violation(A)
             if problem:
                 violations.append((f"density_{problem}", name, 0.0))
-        pair = lambda a, b: _hs(u.states[a], u.states[b])
+    flat = np.asarray(u.states, dtype=float).reshape(u.n, -1)
+    pair = flat @ flat.T  # dot products, or Hilbert-Schmidt ones
+    non_edges = [(a, b) for a in range(G.n) for b in range(a + 1, G.n)
+                 if not G.adj[a] >> b & 1]
     max_resid = 0.0
-    for a in range(G.n):
-        row = G.adj[a]
-        for b in range(a + 1, G.n):
-            if row >> b & 1:
-                continue
-            r = abs(pair(a, b))
-            max_resid = max(max_resid, float(r))
-            if r > orth_tol:
-                violations.append(("orthogonality", (a, b), float(r)))
+    for a, b in non_edges:
+        r = abs(float(pair[a, b]))
+        max_resid = max(max_resid, r)
+        if r > orth_tol:
+            violations.append(("orthogonality", (a, b), r))
     for i, corr in enumerate(handle_correlations(u)):
         if not corr > 0:
             violations.append(("handle_correlation_zero", i, float(corr)))
-    return UmbrellaReport(not violations, tuple(violations), max_resid)
+    if violations:
+        return UmbrellaReport(False, tuple(violations), max_resid)
+    return UmbrellaReport(True, (), max_resid, _certified_value(u, non_edges))
 
 
-def _density_violation(A, psd_floor, unit_tol):
+def _certified_value(u, non_edges):
+    """(1 + eta)^2 / min K_0i^2, rounded up, from the Gram matrix K of the
+    normalized handle (index 0) and states, its diagonal set to exactly 1
+    and its non-edge entries to exactly 0.  Density states enter as the
+    vectors vec(A_i C^1/2) and the handle as vec(C^1/2), so K_0i^2 =
+    tr(A_i C)^2/(tr C tr(A_i^2 C)) >= tr(A_i C)/tr C, as A_i^2 <= A_i.
+    eta >= -lambda_min(K) is certified by ``_lambda_max_certified``, so
+    (K + eta I)/(1 + eta) is the Gram matrix of an exact umbrella with
+    handle correlations K_0i^2/(1 + eta)^2, whatever rounding went into K.
+    No tolerance enters, and the bound holds for the capacity."""
+    if isinstance(u, VectorUmbrella):
+        X = np.vstack([u.handle, u.states]).astype(float)
+    else:
+        w, Q = np.linalg.eigh(np.asarray(u.handle, dtype=float))
+        root = (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.T
+        X = np.concatenate([root[None], np.asarray(u.states, dtype=float) @ root])
+        X = X.reshape(u.n + 1, -1)
+    K = X @ X.T
+    norms = np.sqrt(np.diag(K))
+    if not (np.isfinite(K).all() and (norms > 0).all()):
+        return math.inf
+    K = K / np.outer(norms, norms)
+    K[np.diag_indices(u.n + 1)] = 1.0
+    for a, b in non_edges:
+        K[a + 1, b + 1] = K[b + 1, a + 1] = 0.0
+    opening = min(Fraction(float(x)) ** 2 for x in K[0, 1:])
+    if opening == 0:
+        return math.inf
+    eta = max(Fraction(0), Fraction(_lambda_max_certified(-K)))
+    value = (1 + eta) ** 2 / opening
+    up = float(value)
+    return up if Fraction(up) >= value else math.nextafter(up, math.inf)
+
+
+def _density_violation(A):
     A = np.asarray(A, dtype=float)
-    if np.max(np.abs(A - A.T)) > unit_tol:
+    if np.max(np.abs(A - A.T)) > UNIT_TOL:
         return "not_symmetric"
-    if abs(np.trace(A) - 1.0) > unit_tol:
+    if abs(np.trace(A) - 1.0) > UNIT_TOL:
         return "trace_not_one"
-    if float(np.linalg.eigvalsh(A)[0]) < -psd_floor:
+    if float(np.linalg.eigvalsh(A)[0]) < -PSD_FLOOR:
         return "not_psd"
     return None
 
@@ -238,37 +259,41 @@ def density_from_vector(u):
     return DensityUmbrella(u.dim, np.outer(u.handle, u.handle), states)
 
 
-def purity(A, tol=1e-9):
+def purity(A):
     """tr(A^2) of a density matrix; 1 exactly for pure (rank-1) states."""
     A = np.asarray(A, dtype=float)
-    problem = _density_violation(A, tol, tol)
+    problem = _density_violation(A)
     if problem:
         raise DensityMatrixError(f"not a density matrix: {problem}")
     return float(np.sum(A * A))
 
 
-def purify_umbrella(u, tie_tol=1e-9):
-    """Replace each state by the projector onto its top eigenvector.
-
-    HS-orthogonal PSD matrices have orthogonal ranges, so the purified
-    states stay orthogonal wherever the inputs were.  Degenerate top
-    eigenvalues are flagged; ties pick the lowest-index eigenvector.
-    """
+def purify_umbrella(u):
+    """Replace each state A = V D V^T (V spanning range(A): eigenvalues above
+    ``PURIFY_TOL`` times the top) by the projector onto the top eigenvector
+    of the handle compressed to range(A), V^T C V.  HS-orthogonal PSD
+    matrices have orthogonal ranges, so orthogonality survives, and the new
+    correlation lambda_max(V^T C V) >= tr(V^T C V D) = tr(C A), so the
+    value never rises.  Ties for that top eigenvalue (relative gap below
+    ``PURIFY_TOL``) are flagged and pick the lowest-index eigenvector."""
     if not isinstance(u, DensityUmbrella):
         raise UmbrellaError("expected a density umbrella")
     value_before = umbrella_value(u)
+    C = np.asarray(u.handle, dtype=float)
     new_states = []
     degenerate = []
     for i, A in enumerate(u.states):
         w, Q = np.linalg.eigh(np.asarray(A, dtype=float))
-        top = w[-1]
-        tied = [j for j in range(len(w)) if w[j] >= top - tie_tol]
+        keep = w > PURIFY_TOL * w[-1]
+        keep[-1] = True
+        V = Q[:, keep]
+        hw, hQ = np.linalg.eigh(V.T @ C @ V)
+        tied = np.flatnonzero(hw >= hw[-1] - PURIFY_TOL * abs(hw[-1]))
         if len(tied) > 1:
             degenerate.append(i)
-        vec = Q[:, tied[0]]
+        vec = V @ hQ[:, tied[0]]
         new_states.append(np.outer(vec, vec))
-    out = DensityUmbrella(u.dim, np.asarray(u.handle, dtype=float),
-                          np.stack(new_states))
+    out = DensityUmbrella(u.dim, C, np.stack(new_states))
     return PurifyResult(out, tuple(degenerate), value_before, umbrella_value(out))
 
 
@@ -278,37 +303,19 @@ def purify_umbrella(u, tie_tol=1e-9):
 def umbrella_to_json(u):
     """Numbers are stored as shortest round-trip decimal strings; loading
     re-verifies against a graph instead of trusting any stored flags."""
-    if isinstance(u, VectorUmbrella):
-        doc = {
-            "dim": u.dim,
-            "kind": "vector",
-            "handle": [repr(float(x)) for x in u.handle],
-            "states": [[repr(float(x)) for x in s] for s in u.states],
-        }
-    else:
-        doc = {
-            "dim": u.dim,
-            "kind": "density",
-            "handle": [[repr(float(x)) for x in row] for row in u.handle],
-            "states": [[[repr(float(x)) for x in row] for row in s] for s in u.states],
-        }
+    text = np.vectorize(lambda x: repr(float(x)), otypes=[object])
+    doc = {"dim": u.dim, "kind": u.kind, "handle": text(u.handle).tolist(),
+           "states": text(u.states).tolist()}
     return json.dumps(doc, sort_keys=True)
 
 
 def umbrella_from_json(text):
     doc = json.loads(text)
     try:
-        dim = int(doc["dim"])
-        kind = doc["kind"]
-        if kind == "vector":
-            handle = np.array([float(x) for x in doc["handle"]])
-            states = np.array([[float(x) for x in s] for s in doc["states"]])
-            return VectorUmbrella(dim, handle, states)
-        if kind == "density":
-            handle = np.array([[float(x) for x in row] for row in doc["handle"]])
-            states = np.array([[[float(x) for x in row] for row in s]
-                               for s in doc["states"]])
-            return DensityUmbrella(dim, handle, states)
+        kind = {"vector": VectorUmbrella, "density": DensityUmbrella}.get(doc["kind"])
+        if kind is not None:
+            return kind(int(doc["dim"]), np.array(doc["handle"], dtype=float),
+                        np.array(doc["states"], dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise UmbrellaError(f"malformed umbrella JSON: {exc}")
     raise UmbrellaError(f"unknown umbrella kind {doc.get('kind')!r}")
