@@ -338,7 +338,7 @@ def _dispatch(args):
 
     elif verb == "theta":
         G, spec = _graph_arg(args)
-        bracket = lovasz_theta(G, tol=args.tol)
+        bracket = lovasz_theta(G, tol=args.tol, time_budget=args.time_budget)
         degraded = not bracket.converged
         doc = {"graph": spec, "lo": bracket.lo, "hi": bracket.hi,
                "converged": bracket.converged, "iterations": bracket.iterations}

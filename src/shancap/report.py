@@ -37,7 +37,7 @@ from .theta import (CertificateError, ThetaBracket, lovasz_theta,
 from .umbrella import DensityUmbrella, VectorUmbrella, verify_umbrella
 
 
-CLOSED_TOL = 1e-6  # theta's stopping width; a narrower interval is closed
+CLOSED_TOL = 1e-6  # theta's convergence width; a narrower interval is closed
 MEET_TOL = 1e-5  # a lock-in row this close to the upper value meets it
 
 
@@ -143,7 +143,7 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                                "exact" if row.exact else "heuristic")
     if lower is None:
         raise ReportError("no power produced a lower bound")
-    bracket = lovasz_theta(G, tol=CLOSED_TOL)
+    bracket = lovasz_theta(G, tol=CLOSED_TOL, time_budget=cfg.time_budget)
     value = bracket.hi
     provenance.append(
         f"theta bracket [{bracket.lo!r}, {bracket.hi!r}]"

@@ -1,26 +1,39 @@
 """Certified two-sided brackets for the Lovász number.
 
-The semidefinite program max <J,X> over {X PSD, tr X = 1, X zero on edges}
-is solved by an operator-splitting iteration that alternates projection
-onto the affine set with projection onto the PSD cone, carrying a scaled
-multiplier.  The multiplier yields a matrix M with unit diagonal and unit
-non-edge entries whose largest eigenvalue upper-bounds the optimum; a
-subgradient sweep over the free edge entries of M then tightens that bound.
-Both certificates are re-verified before the bracket is reported, so the
-interval is sound even when the iteration is stopped early; the dual bound
-is proven by one floating-point Cholesky with an a priori error bound and
-no heuristic margin (``_lambda_max_certified``).
+theta(G) is the common optimum of the semidefinite pair
+
+    max <J,X>  s.t.  tr X = 1,  X_ij = 0 on every edge ij,  X PSD;
+    min t      s.t.  t*I - M(y) PSD,
+
+where M(y) is the all-ones matrix J with a free value on each edge.
+``lovasz_theta`` solves the pair with a primal-dual interior-point method:
+HKM search directions (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J.
+Optim. 1996) with Mehrotra's predictor-corrector (SIAM J. Optim. 1992),
+from the strictly feasible start X = I/n, M = J, t = n + 1, which exists
+for every graph.  Each iteration factors one Schur matrix of order m + 1
+(m edges), built by index gathers over the edge arrays; a few dozen
+iterations reach the limit of double precision.
+
+No iterate is trusted.  ``verify_primal_certificate`` turns each X into a
+proven lower bound, and ``verify_dual_certificate`` turns each M into a
+proven upper bound by one floating-point Cholesky with an a priori error
+bound and no heuristic margin (``_lambda_max_certified``).  The bracket is
+the best verified pair, so it is sound wherever the iteration stops.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-DENSE_LIMIT = 400
+MATRIX_LIMIT = 3000  # largest order of the Schur matrix (m + 1) and of X (n)
+GAP_STOP = 1e-12  # duality gap, relative to t, at which the iteration stops
+STALL = 3  # iterations that fail to halve the smallest gap before a stop
+STEP_FRACTION = 0.95  # share of the step to the boundary of the PSD cone
 
 
 class ThetaError(ValueError):
@@ -33,6 +46,9 @@ class CertificateError(ThetaError):
 
 @dataclass(frozen=True)
 class ThetaBracket:
+    """Proven lo <= theta(G) <= hi with the matrices that prove them;
+    ``iterations`` counts interior-point iterations."""
+
     lo: float
     hi: float
     primal_certificate: np.ndarray
@@ -50,21 +66,6 @@ def _edge_arrays(G):
     iu = np.array([e[0] for e in edges], dtype=np.intp)
     iv = np.array([e[1] for e in edges], dtype=np.intp)
     return iu, iv
-
-
-def _project_affine(V, iu, iv):
-    W = (V + V.T) / 2.0
-    n = W.shape[0]
-    if len(iu):
-        W[iu, iv] = 0.0
-        W[iv, iu] = 0.0
-    W[np.diag_indices(n)] -= (np.trace(W) - 1.0) / n
-    return W
-
-
-def _project_psd(V):
-    w, Q = np.linalg.eigh((V + V.T) / 2.0)
-    return (Q * np.clip(w, 0.0, None)) @ Q.T
 
 
 def _lambda_max_certified(M):
@@ -157,131 +158,145 @@ def verify_primal_certificate(X, G, tol=1e-9):
     return lo, S / np.trace(S)
 
 
-def _dual_from_multiplier(Y, G):
-    n = G.n
+def _dual_matrix(y, n, iu, iv):
+    """M(y): J with 1 - y_e on edge e, so t*I - M(y) = A^T(y) - J."""
     M = np.ones((n, n))
-    iu, iv = _edge_arrays(G)
-    if len(iu):
-        M[iu, iv] = Y[iu, iv]
-        M[iv, iu] = Y[iv, iu]
-    return (M + M.T) / 2.0
+    M[iu, iv] = M[iv, iu] = 1.0 - y[1:]
+    return M
 
 
-def _polish_dual(M, iu, iv, steps):
-    """Subgradient sweep on the free edge entries to shrink the largest
-    eigenvalue; keeps the best iterate."""
-    best = M.copy()
-    cur = M.copy()
-    w, Q = np.linalg.eigh(cur)
-    best_val = float(w[-1])
-    lr = 0.25
-    for _ in range(steps):
-        v = Q[:, -1]
-        trial = cur.copy()
-        g = 2.0 * v[iu] * v[iv]
-        trial[iu, iv] -= lr * g
-        trial[iv, iu] -= lr * g
-        tw, tQ = np.linalg.eigh(trial)
-        val = float(tw[-1])
-        if val < best_val - 1e-15:
-            cur, w, Q = trial, tw, tQ
-            best = trial.copy()
-            best_val = val
-            lr *= 1.15
-        else:
-            if val < w[-1]:
-                cur, w, Q = trial, tw, tQ
-            lr *= 0.6
-            if lr < 1e-13:
-                break
-    return best
+def _constraints(P, iu, iv):
+    """A(P): the trace and P_ij + P_ji on each edge.  P need not be
+    symmetric (the corrector's right-hand side is not), so both halves are
+    read."""
+    return np.concatenate(([np.trace(P)], P[iu, iv] + P[iv, iu]))
 
 
-def _uniform_dual(G):
-    """min over t of lambda_max(J - t*A); exact for edge-transitive graphs
-    and a strong warm start elsewhere."""
-    n = G.n
-    J = np.ones((n, n))
-    A = np.zeros((n, n))
-    for u, v in G.edges():
-        A[u, v] = A[v, u] = 1.0
-
-    def f(t):
-        return float(np.linalg.eigvalsh(J - t * A)[-1])
-
-    a, b = 0.0, float(n)
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(90):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-    t = (a + b) / 2.0
-    return J - t * A
+def _schur(X, Z, iu, iv):
+    """H_ab = tr(A_a X A_b Z) for A_0 = I and A_e = E_ij + E_ji, by index
+    gathers over the edge arrays."""
+    m = len(iu)
+    H = np.empty((m + 1, m + 1))
+    W = X @ Z
+    H[0, 0] = np.trace(W)
+    H[0, 1:] = H[1:, 0] = W[iu, iv] + W[iv, iu]
+    Xu, Xv, Zu, Zv = X[iu], X[iv], Z[iu], Z[iv]
+    # tr(E_e X E_f Z) = X_jk Z_li + X_jl Z_ki + X_ik Z_lj + X_il Z_kj
+    # for e = ij, f = kl
+    H[1:, 1:] = (Xv[:, iu] * Zu[:, iv] + Xv[:, iv] * Zu[:, iu]
+                 + Xu[:, iu] * Zv[:, iv] + Xu[:, iv] * Zv[:, iu])
+    return H
 
 
-def lovasz_theta(G, tol=1e-6, max_iterations=20000):
+def _inverse_factor(A):
+    """L^-1 for the Cholesky factor L of A; raises LinAlgError unless A is
+    numerically positive definite."""
+    return np.linalg.inv(np.linalg.cholesky(A))
+
+
+def _step_to_boundary(Li, D):
+    """Largest a with A + a*D PSD, for A = L L^T (inf when D is PSD)."""
+    lam = float(np.linalg.eigvalsh(Li @ D @ Li.T)[0])
+    return math.inf if lam >= 0.0 else -1.0 / lam
+
+
+def _direction(X, Z, H, RZ, rp, iu, iv):
+    """HKM direction for dX S + X dS = R with A(dX) = rp and dS = A^T(dy),
+    given RZ = R S^-1: H dy = A(RZ) - rp and dX = RZ - X dS Z, symmetrized."""
+    dy = np.linalg.solve(H, _constraints(RZ, iu, iv) - rp)
+    dS = dy[0] * np.eye(X.shape[0])
+    dS[iu, iv] = dS[iv, iu] = dy[1:]
+    dX = RZ - X @ dS @ Z
+    return (dX + dX.T) / 2.0, dy, dS
+
+
+def _step(X, S, b, iu, iv):
+    """One Mehrotra predictor-corrector step: (dX, primal step length, dy,
+    dual step length).  Raises LinAlgError when X, S or the Schur matrix is
+    no longer numerically positive definite, or the step is not finite."""
+    n = X.shape[0]
+    Xi, Si = _inverse_factor(X), _inverse_factor(S)
+    Z = Si.T @ Si
+    H = _schur(X, Z, iu, iv)
+    np.linalg.cholesky(H)  # the definiteness test; the solves use H itself
+    rp = b - _constraints(X, iu, iv)
+    mu = float(np.vdot(X, S)) / n
+    # predictor: the affine-scaling direction, aimed at mu = 0 (R = -XS)
+    dXa, _, dSa = _direction(X, Z, H, -X, rp, iu, iv)
+    ap = min(1.0, _step_to_boundary(Xi, dXa))
+    ad = min(1.0, _step_to_boundary(Si, dSa))
+    sigma = min(1.0, (float(np.vdot(X + ap * dXa, S + ad * dSa)) / n / mu) ** 3)
+    # corrector: centring at sigma*mu plus the predictor's second-order term
+    dX, dy, dS = _direction(X, Z, H, sigma * mu * Z - X - dXa @ dSa @ Z,
+                            rp, iu, iv)
+    if not (np.isfinite(dX).all() and np.isfinite(dy).all()):
+        raise np.linalg.LinAlgError("interior-point step is not finite")
+    return (dX, min(1.0, STEP_FRACTION * _step_to_boundary(Xi, dX)),
+            dy, min(1.0, STEP_FRACTION * _step_to_boundary(Si, dS)))
+
+
+def lovasz_theta(G, tol=1e-6, max_iterations=100, time_budget=None):
     """Certified bracket [lo, hi] around the Lovász number of G.
 
-    When the bracket fails to reach ``tol`` within the iteration budget the
-    widest verified bracket is returned with converged=False; both sides
-    are sound regardless.
+    Interior-point iterations (see the module docstring) run past ``tol``
+    to the limit of double precision.  They stop when the duality gap
+    <X, t*I - M> falls to ``GAP_STOP`` relative to t; when ``STALL``
+    iterations in a row fail to halve the smallest gap so far (typically
+    near 1e-12 relative); when X, S or the Schur matrix is no longer
+    numerically positive definite; after ``max_iterations`` iterations; or
+    once ``time_budget`` seconds (None: no limit) have passed.  The clock
+    is read once per iteration, so the budget is overrun by at most one
+    iteration and the verification of its iterate.
+
+    Every iterate is verified, and the best proven ``lo`` and ``hi`` are
+    returned with their certificates wherever the loop stops.  ``tol`` only
+    decides ``converged`` (hi - lo <= tol).  ``iterations`` counts
+    interior-point iterations.
+
+    Raises ``ThetaError``, before anything is allocated, when the Schur
+    matrix (order m + 1 for m edges) or X (order n) would exceed
+    ``MATRIX_LIMIT``.
     """
-    if G.n > DENSE_LIMIT:
-        raise ThetaError(f"graph too large for the dense solver (> {DENSE_LIMIT})")
-    n = G.n
+    n, m = G.n, G.num_edges
+    if max(n, m + 1) > MATRIX_LIMIT:
+        raise ThetaError(
+            f"theta needs dense matrices of order m + 1 = {m + 1} (m = {m} "
+            f"edges) and n = {n}; the limit is {MATRIX_LIMIT}")
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     iu, iv = _edge_arrays(G)
-    J = np.ones((n, n))
-    rho = 1.0
-    Z = np.eye(n) / n
-    U = np.zeros((n, n))
-    best_lo = 0.0
-    best_primal = np.eye(n) / n
-    best_dual = _uniform_dual(G)
-    best_hi = verify_dual_certificate(best_dual, G)
-    converged = False
+    b = np.zeros(m + 1)  # right-hand sides of tr X = 1 and X_e = 0
+    b[0] = 1.0
+    X = np.eye(n) / n
+    y = np.zeros(m + 1)  # y[0] = t, y[1:] = 1 - M on the edges
+    y[0] = n + 1.0
+    best_lo, best_hi = -math.inf, math.inf
+    best_gap, stalled = math.inf, 0
     it = 0
-    check_every = 100
-    while it < max_iterations:
-        stop = min(it + check_every, max_iterations)
-        while it < stop:
-            X = _project_affine(Z - U + J / rho, iu, iv)
-            Z_old = Z
-            Z = _project_psd(X + U)
-            U = U + X - Z
-            it += 1
-        lo, S = verify_primal_certificate(_project_affine(Z, iu, iv), G, tol=1.0)
+    while True:
+        lo, P = verify_primal_certificate(X, G, tol=1.0)
         if lo > best_lo:
-            best_lo, best_primal = lo, S
-        M = _polish_dual(_dual_from_multiplier(rho * U, G), iu, iv, steps=40)
+            best_lo, best_primal = lo, P
+        M = _dual_matrix(y, n, iu, iv)
         hi = verify_dual_certificate(M, G)
         if hi < best_hi:
             best_hi, best_dual = hi, M
-        if best_hi - best_lo <= tol:
-            converged = True
+        S = y[0] * np.eye(n) - M
+        gap = float(np.vdot(X, S))
+        if gap < best_gap / 2.0:
+            best_gap, stalled = gap, 0
+        else:
+            stalled += 1
+        if (gap <= GAP_STOP * y[0] or stalled >= STALL or it >= max_iterations
+                or deadline is not None and time.monotonic() > deadline):
             break
-        r = float(np.linalg.norm(X - Z))
-        s = rho * float(np.linalg.norm(Z - Z_old))
-        if r > 10.0 * s:
-            rho *= 2.0
-            U /= 2.0
-        elif s > 10.0 * r:
-            rho /= 2.0
-            U *= 2.0
-    if not converged:
-        # final heavier polish before giving up
-        M = _polish_dual(best_dual, iu, iv, steps=200)
-        hi = verify_dual_certificate(M, G)
-        if hi < best_hi:
-            best_hi, best_dual = hi, M
-        converged = best_hi - best_lo <= tol
+        try:
+            dX, ap, dy, ad = _step(X, S, b, iu, iv)
+        except np.linalg.LinAlgError:
+            break
+        X = X + ap * dX
+        y = y + ad * dy
+        it += 1
     if best_lo > best_hi:
         raise ThetaError("certified bracket inverted; tolerance bookkeeping bug")
-    return ThetaBracket(best_lo, best_hi, best_primal, best_dual, converged, it)
+    return ThetaBracket(best_lo, best_hi, best_primal, best_dual,
+                        best_hi - best_lo <= tol, it)
