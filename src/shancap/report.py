@@ -123,7 +123,8 @@ def _power_row(G, k, cfg, vertex_limit):
 
 def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                    vertex_limit=100_000):
-    """Certified interval around the capacity of G, with per-power table."""
+    """Certified interval around the capacity of G, with per-power table.
+    Each power's search and theta each run under ``cfg.time_budget``."""
     cfg = cfg or SolverConfig()
     table = []
     provenance = []

@@ -225,7 +225,8 @@ def _step(X, S, b, iu, iv):
     dXa, _, dSa = _direction(X, Z, H, -X, rp, iu, iv)
     ap = min(1.0, _step_to_boundary(Xi, dXa))
     ad = min(1.0, _step_to_boundary(Si, dSa))
-    sigma = min(1.0, (float(np.vdot(X + ap * dXa, S + ad * dSa)) / n / mu) ** 3)
+    mu_aff = float(np.vdot(X + ap * dXa, S + ad * dSa)) / n
+    sigma = min(1.0, (mu_aff / mu) ** 3)
     # corrector: centring at sigma*mu plus the predictor's second-order term
     dX, dy, dS = _direction(X, Z, H, sigma * mu * Z - X - dXa @ dSa @ Z,
                             rp, iu, iv)

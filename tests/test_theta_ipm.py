@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shancap.cli import run
-from shancap.graphs import complement, complete, cycle, from_edges, strong_product
+from shancap.graphs import (complement, complete, cycle, from_edges,
+                            strong_product)
 from shancap.solvers import max_independent_set
 from shancap.theta import MATRIX_LIMIT, ThetaError, lovasz_theta
 
