@@ -134,7 +134,8 @@ def _emit(args, doc, text):
 
 def _cfg(args):
     return SolverConfig(time_budget=args.time_budget,
-                        node_budget=args.node_budget, seed=args.seed)
+                        node_budget=args.node_budget,
+                        seed=getattr(args, "seed", 0))
 
 
 def _graph_arg(args):
@@ -144,16 +145,28 @@ def _graph_arg(args):
     return graph_spec_parse(spec, vertex_limit=args.vertex_limit), spec
 
 
+_OPTIONS = {
+    "json": dict(action="store_true", help="machine-readable JSON on stdout"),
+    "seed": dict(type=int, default=0),
+    "strict": dict(action="store_true",
+                   help="exit 2 when any result is not proven optimal"),
+    "time-budget": dict(type=float, default=60.0),
+    "node-budget": dict(type=int, default=50_000_000),
+    "vertex-limit": dict(type=int, default=DEFAULT_VERTEX_LIMIT),
+}
+
+
+def _options(*names):
+    """Parent parser holding the shared options a verb reads, by name."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        parent.add_argument(f"--{name}", **_OPTIONS[name])
+    return parent
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable JSON on stdout")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--strict", action="store_true",
-                        help="exit 2 when any result is not proven optimal")
-    common.add_argument("--time-budget", type=float, default=60.0)
-    common.add_argument("--node-budget", type=int, default=50_000_000)
-    common.add_argument("--vertex-limit", type=int, default=DEFAULT_VERTEX_LIMIT)
+    io = _options("json", "vertex-limit")
+    solve = _options(*_OPTIONS)
 
     graphful = argparse.ArgumentParser(add_help=False)
     graphful.add_argument("graph_pos", nargs="?", metavar="GRAPH",
@@ -164,35 +177,38 @@ def build_parser():
                 description="certified Shannon-capacity bounds for graphs")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    sp = sub.add_parser("gen", parents=[common, graphful],
+    sp = sub.add_parser("gen", parents=[_options("vertex-limit"), graphful],
                         help="generate/compose a graph and write it out")
     sp.add_argument("--format", choices=("graph6", "dimacs", "json"),
                     default="json")
     sp.add_argument("-o", "--output")
 
-    sub.add_parser("complement", parents=[common, graphful],
+    sub.add_parser("complement", parents=[io, graphful],
                    help="complement of a graph (JSON to stdout)")
 
-    sp = sub.add_parser("product", parents=[common],
+    sp = sub.add_parser("product", parents=[io],
                         help="strong/conormal/union product of two specs")
     sp.add_argument("kind", choices=("strong", "conormal", "union"))
     sp.add_argument("left")
     sp.add_argument("right")
 
-    sp = sub.add_parser("power", parents=[common, graphful],
+    sp = sub.add_parser("power", parents=[io, graphful],
                         help="strong power of a graph")
     sp.add_argument("k", type=int)
 
-    for verb, help_text in (("alpha", "independence number"),
-                            ("omega", "clique number"),
-                            ("sigma", "clique cover number"),
-                            ("rho", "fractional clique-constrained optimum"),
-                            ("theta", "certified theta bracket")):
-        sp = sub.add_parser(verb, parents=[common, graphful], help=help_text)
+    for verb, options, help_text in (
+            ("alpha", solve, "independence number"),
+            ("omega", solve, "clique number"),
+            ("sigma", _options("json", "strict", "time-budget", "node-budget",
+                               "vertex-limit"), "clique cover number"),
+            ("rho", io, "fractional clique-constrained optimum"),
+            ("theta", _options("json", "strict", "time-budget", "vertex-limit"),
+             "certified theta bracket")):
+        sp = sub.add_parser(verb, parents=[options, graphful], help=help_text)
         if verb == "theta":
             sp.add_argument("--tol", type=float, default=1e-6)
 
-    sp = sub.add_parser("kings", parents=[common],
+    sp = sub.add_parser("kings", parents=[solve],
                         help="king packings on a toroidal board")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
@@ -203,35 +219,34 @@ def build_parser():
                     help="run the exact search even on boards declared out "
                          "of the default budget")
 
-    sp = sub.add_parser("umbrella", parents=[common],
+    sp = sub.add_parser("umbrella",
                         help="generate / verify / tensor umbrella certificates")
     usub = sp.add_subparsers(dest="action", required=True)
-    g = usub.add_parser("gen-cycle", parents=[common])
+    g = usub.add_parser("gen-cycle")
     g.add_argument("n", type=int)
     g.add_argument("-o", "--output")
-    v = usub.add_parser("verify", parents=[common, graphful])
+    v = usub.add_parser("verify", parents=[io, graphful])
     v.add_argument("file")
-    t = usub.add_parser("tensor", parents=[common])
+    t = usub.add_parser("tensor")
     t.add_argument("left")
     t.add_argument("right")
     t.add_argument("-o", "--output")
 
-    sp = sub.add_parser("haemers", parents=[common],
+    sp = sub.add_parser("haemers",
                         help="verify a fitting matrix and report its rank")
     hsub = sp.add_subparsers(dest="action", required=True)
-    hv = hsub.add_parser("verify", parents=[common, graphful])
+    hv = hsub.add_parser("verify", parents=[io, graphful])
     hv.add_argument("--matrix", required=True)
 
-    sp = sub.add_parser("bounds", parents=[common, graphful],
+    sp = sub.add_parser("bounds", parents=[solve, graphful],
                         help="certified capacity interval")
     sp.add_argument("--max-power", type=int, default=2)
 
-    sp = sub.add_parser("lockin", parents=[common, graphful],
+    sp = sub.add_parser("lockin", parents=[solve, graphful],
                         help="normalized independence numbers of powers")
     sp.add_argument("--p-max", type=int, default=2)
 
-    sp = sub.add_parser("render", parents=[common],
-                        help="draw a placement JSON file")
+    sp = sub.add_parser("render", help="draw a placement JSON file")
     sp.add_argument("file")
     sp.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     return p
@@ -277,7 +292,8 @@ def _dispatch(args):
 
     if verb == "complement":
         G, _ = _graph_arg(args)
-        _emit(args, _graph_json(complement(G)), graphio.write_json(complement(G)))
+        H = complement(G)
+        _emit(args, _graph_json(H), graphio.write_json(H))
         return EXIT_OK
 
     if verb == "product":

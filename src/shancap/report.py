@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
 
-from .graphs import Graph, VertexLimitError, cycle, strong_power
+from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, VertexLimitError, cycle,
+                     strong_power)
 from .haemers import FittingError, FittingMatrix, haemers_certificate
 from .kings import Board, Placement, verify_placement
 from .solvers import (SolverConfig, heuristic_independent_set,
@@ -122,7 +123,7 @@ def _power_row(G, k, cfg, vertex_limit):
 
 
 def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
-                   vertex_limit=100_000):
+                   vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Certified interval around the capacity of G, with per-power table.
     Each power's search and theta each run under ``cfg.time_budget``."""
     cfg = cfg or SolverConfig()
@@ -186,7 +187,8 @@ class LockinTable:
     locked_at: object  # power k, or None
 
 
-def lockin_scan(G, p_max=2, cfg=None, graph_desc="graph", vertex_limit=100_000):
+def lockin_scan(G, p_max=2, cfg=None, graph_desc="graph",
+                vertex_limit=DEFAULT_VERTEX_LIMIT):
     """The power table of ``compute_bounds``, each row marked when it
     already meets the reported upper bound within ``MEET_TOL``."""
     report = compute_bounds(G, p_max, cfg, graph_desc, vertex_limit)
@@ -257,7 +259,7 @@ def combine_external_certificate(report, cert):
     return report
 
 
-def verify_report(report, vertex_limit=100_000):
+def verify_report(report, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Re-check the witnesses independent of how the report was assembled:
     the lower witness must be an independent set of the stated power, the
     upper certificate must prove the stated upper value, and the pair must

@@ -53,7 +53,7 @@ class SolverConfig:
     ordering: str = "degree"
 
     def __post_init__(self):
-        if self.time_budget <= 0 or self.node_budget <= 0:
+        if not (self.time_budget > 0 and self.node_budget > 0):
             raise SolverError("budgets must be positive")
         if self.ordering not in _ORDERINGS:
             raise SolverError(f"ordering must be one of {_ORDERINGS}")
@@ -147,9 +147,6 @@ class _Budget:
         self.nodes += 1
 
 
-_REDUCTION_THRESHOLD = 64  # scan for forced picks only on small candidate sets
-
-
 class _MISEngine:
     """Branch-and-bound over candidate bitmasks.
 
@@ -209,52 +206,26 @@ class _MISEngine:
         the node), a branched vertex is discarded with its whole orbit and
         the rest re-covered; the children search plainly."""
         self.budget.tick()
-        adj = self.adj
         nonadj = self.nonadj
-        pushed = 0
-        # fold in candidates with <= 1 candidate neighbor: always optimal,
-        # but committing one would break the symmetry that ``orbit`` uses
-        if orbit is None and cand.bit_count() <= _REDUCTION_THRESHOLD:
-            while True:
-                pick = -1
-                m = cand
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if (adj[v] & cand).bit_count() <= 1:
-                        pick = v
-                        break
-                if pick < 0:
-                    break
-                cand &= nonadj[pick]
-                size += 1
-                self.cur.append(pick)
-                pushed += 1
-                if size > self.best:
-                    self.improve(size)
-        try:
-            order = self.cover_order(cand)
-            while order:
-                bound, v = order.pop()
-                if size + bound <= self.best:
-                    break
-                ncand = cand & nonadj[v]
-                self.cur.append(v)
-                if size + 1 > self.best:
-                    self.improve(size + 1)
-                if ncand:
-                    self.expand(ncand, size + 1)
-                self.cur.pop()
-                if orbit is None:
-                    # peeling takes the lowest id of each class first, so
-                    # the cover of cand - {v} is the rest of ``order``
-                    cand &= ~(1 << v)
-                else:
-                    cand &= ~orbit(v)
-                    order = self.cover_order(cand)
-        finally:
-            for _ in range(pushed):
-                self.cur.pop()
+        order = self.cover_order(cand)
+        while order:
+            bound, v = order.pop()
+            if size + bound <= self.best:
+                break
+            ncand = cand & nonadj[v]
+            self.cur.append(v)
+            if size + 1 > self.best:
+                self.improve(size + 1)
+            if ncand:
+                self.expand(ncand, size + 1)
+            self.cur.pop()
+            if orbit is None:
+                # peeling takes the lowest id of each class first, so
+                # the cover of cand - {v} is the rest of ``order``
+                cand &= ~(1 << v)
+            else:
+                cand &= ~orbit(v)
+                order = self.cover_order(cand)
 
 
 def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):

@@ -256,8 +256,10 @@ def lovasz_theta(G, tol=1e-6, max_iterations=100, time_budget=None):
 
     Raises ``ThetaError``, before anything is allocated, when the Schur
     matrix (order m + 1 for m edges) or X (order n) would exceed
-    ``MATRIX_LIMIT``.
+    ``MATRIX_LIMIT``, or when ``time_budget`` is given and not positive.
     """
+    if time_budget is not None and not time_budget > 0:
+        raise ThetaError(f"time budget must be positive, got {time_budget!r}")
     n, m = G.n, G.num_edges
     if max(n, m + 1) > MATRIX_LIMIT:
         raise ThetaError(

@@ -213,3 +213,19 @@ def test_kings_layered_method(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 4 and doc["proven"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "placement.json", "--json"],
+    ["umbrella", "--json", "gen-cycle", "5"],
+    ["umbrella", "gen-cycle", "5", "--seed", "1"],
+    ["gen", "cycle:5", "--strict"],
+    ["complement", "cycle:5", "--node-budget", "5"],
+    ["rho", "cycle:5", "--time-budget", "1"],
+    ["theta", "cycle:5", "--node-budget", "5"],
+    ["sigma", "cycle:5", "--seed", "1"],
+])
+def test_a_verb_rejects_a_flag_it_does_not_read(capsys, argv):
+    code, _, err = run_capture(capsys, argv)
+    assert code == 1
+    assert "unrecognized arguments" in err

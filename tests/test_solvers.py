@@ -6,8 +6,9 @@ import pytest
 
 from shancap.graphs import (complement, complete, cycle, disjoint_union,
                             empty, from_edges, strong_power, strong_product)
-from shancap.solvers import (CliqueCapExceeded, SolverConfig, clique_cover_number,
-                             clique_number, enumerate_maximal_cliques,
+from shancap.solvers import (CliqueCapExceeded, SolverConfig, SolverError,
+                             clique_cover_number, clique_number,
+                             enumerate_maximal_cliques,
                              heuristic_independent_set, is_clique,
                              is_independent_set, max_clique,
                              max_independent_set)
@@ -219,3 +220,9 @@ def test_clique_cover_honours_node_budget():
     assert value == len(cover.parts)
     assert sorted(v for part in cover.parts for v in part) == list(range(G.n))
     assert all(is_clique(G, part) for part in cover.parts)
+
+
+def test_config_rejects_a_nan_budget():
+    # nan <= 0 is False, so only ``not budget > 0`` catches a NaN
+    with pytest.raises(SolverError):
+        SolverConfig(time_budget=float("nan"))

@@ -125,3 +125,11 @@ def test_numpy_is_the_only_runtime_dependency():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("budget", [-1.0, 0.0, float("nan")])
+def test_time_budget_must_be_positive(budget, capsys):
+    with pytest.raises(ThetaError):
+        lovasz_theta(cycle(5), time_budget=budget)
+    assert run(["theta", "cycle:5", "--time-budget", str(budget)]) == 1
+    assert "time budget must be positive" in capsys.readouterr().err
