@@ -18,10 +18,9 @@ from .graphs import (DEFAULT_VERTEX_LIMIT, GraphError, complement,
                      conormal_product, disjoint_union, generate,
                      strong_power, strong_product)
 from .haemers import fitting_from_json, haemers_certificate, verify_fitting
-from .kings import (Board, KingSearchResult, canonical_placement,
+from .kings import (Board, canonical_placement, capped_result,
                     exact_max_kings, heuristic_max_kings,
-                    layered_construction, placement_from_json,
-                    placement_to_json, render_board)
+                    layered_construction, placement_from_json, render_board)
 from .report import (combine_external_certificate, compute_bounds,
                      lockin_to_dict, lockin_scan, render_lockin,
                      render_report, report_to_json)
@@ -300,11 +299,8 @@ def _dispatch(args):
         L = graph_spec_parse(args.left, vertex_limit=args.vertex_limit)
         R = graph_spec_parse(args.right, vertex_limit=args.vertex_limit)
         op = {"strong": strong_product, "conormal": conormal_product,
-              "union": lambda a, b: disjoint_union(a, b)}[args.kind]
-        if args.kind == "union":
-            P = op(L, R)
-        else:
-            P = op(L, R, vertex_limit=args.vertex_limit)
+              "union": disjoint_union}[args.kind]
+        P = op(L, R, vertex_limit=args.vertex_limit)
         _emit(args, _graph_json(P), graphio.write_json(P))
         return EXIT_OK
 
@@ -365,42 +361,31 @@ def _dispatch(args):
     elif verb == "kings":
         board = Board(args.p, args.d)
         cfg = _cfg(args)
-        if args.method == "exact" and board.cells > 130 and not args.force_exact:
-            # declared out of the default budget: report the incumbent and
-            # its theta cap instead of stalling
+        skipped = False
+        if args.method == "heuristic":
             res = heuristic_max_kings(board, cfg, args.vertex_limit)
-            doc = {"p": args.p, "d": args.d, "count": res.count,
-                   "proven": res.proven_optimal,
-                   "upper_bound": res.upper_bound,
-                   "cells": [list(c) for c in res.placement.cells],
-                   "note": "exact search out of default budget; "
-                           "--force-exact overrides"}
-            degraded = not res.proven_optimal
-            text = (f"kings({args.p},{args.d}) "
-                    f"{'=' if res.proven_optimal else '>='} {res.count} "
-                    f"(upper bound {res.upper_bound}; exact search skipped, "
-                    f"use --force-exact)")
+        elif args.method == "exact":
+            res, skipped = _guarded_exact_kings(board, cfg, args)
+        elif args.d < 2:
+            return _fail("layered needs d >= 2")
         else:
-            if args.method == "exact":
-                res = exact_max_kings(board, cfg, args.vertex_limit)
-            elif args.method == "heuristic":
-                res = heuristic_max_kings(board, cfg, args.vertex_limit)
-            else:
-                sub = exact_max_kings(Board(args.p, args.d - 1), cfg,
-                                      args.vertex_limit) if args.d > 1 else None
-                if sub is None:
-                    return _fail("layered needs d >= 2")
-                pl = layered_construction(sub.placement)
-                res = KingSearchResult(canonical_placement(pl), False,
-                                       board.cells)
-            degraded = not res.proven_optimal
-            doc = {"p": args.p, "d": args.d, "count": res.count,
-                   "proven": res.proven_optimal, "upper_bound": res.upper_bound,
-                   "cells": [list(c) for c in res.placement.cells]}
-            text = (f"kings({args.p},{args.d}) "
-                    f"{'=' if res.proven_optimal else '>='} {res.count}")
-            if args.render:
-                text += "\n" + render_board(res.placement, args.render)
+            sub, skipped = _guarded_exact_kings(Board(args.p, args.d - 1),
+                                                cfg, args)
+            res = capped_result(
+                canonical_placement(layered_construction(sub.placement)))
+        degraded = not res.proven_optimal
+        doc = {"p": args.p, "d": args.d, "count": res.count,
+               "proven": res.proven_optimal, "upper_bound": res.upper_bound,
+               "cells": [list(c) for c in res.placement.cells]}
+        text = (f"kings({args.p},{args.d}) "
+                f"{'=' if res.proven_optimal else '>='} {res.count}")
+        if skipped:
+            doc["note"] = ("exact search out of default budget; "
+                           "--force-exact overrides")
+            text += (f" (upper bound {res.upper_bound}; exact search skipped, "
+                     f"use --force-exact)")
+        if args.render:
+            text += "\n" + render_board(res.placement, args.render)
         _emit(args, doc, text)
 
     elif verb == "umbrella":
@@ -450,6 +435,15 @@ def _dispatch(args):
     if degraded and args.strict:
         return EXIT_DEGRADED
     return EXIT_OK
+
+
+def _guarded_exact_kings(board, cfg, args):
+    """(result, skipped): ``exact_max_kings``, or on a board declared out of
+    the default budget (more than 130 cells, no --force-exact) the
+    heuristic incumbent with its theta cap instead of a stalled search."""
+    if board.cells > 130 and not args.force_exact:
+        return heuristic_max_kings(board, cfg, args.vertex_limit), True
+    return exact_max_kings(board, cfg, args.vertex_limit), False
 
 
 def _umbrella(args):

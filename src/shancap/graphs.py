@@ -22,6 +22,14 @@ class VertexLimitError(GraphError):
     """A construction would materialize more vertices than allowed."""
 
 
+def bits(mask):
+    """Yield the set bits of ``mask`` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Graph:
     """Finite simple graph: symmetric loop-free adjacency, optional labels.
@@ -45,10 +53,7 @@ class Graph:
                 raise GraphError(f"self-loop at vertex {v}")
             if row & ~full:
                 raise GraphError(f"adjacency row {v} has out-of-range bits")
-            m = row
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
+            for u in bits(row):
                 if not self.adj[u] >> v & 1:
                     raise GraphError(f"adjacency not symmetric at ({v},{u})")
         if self.labels is not None:
@@ -66,21 +71,11 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v):
-        out, m = [], self.adj[v]
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        return out
+        return list(bits(self.adj[v]))
 
     def edges(self):
-        out = []
-        for v in range(self.n):
-            m = self.adj[v] >> (v + 1)
-            while m:
-                u = (m & -m).bit_length() - 1
-                out.append((v, v + 1 + u))
-                m &= m - 1
-        return out
+        return [(v, u) for v in range(self.n)
+                for u in bits(self.adj[v] >> (v + 1) << (v + 1))]
 
     @property
     def num_edges(self):
@@ -215,16 +210,12 @@ def strong_product(G, H, vertex_limit=DEFAULT_VERTEX_LIMIT):
     rh = [H.adj[b] | (1 << b) for b in range(H.n)]
     rows = []
     for a in range(G.n):
-        blocks = rg[a]
+        shifts = [c * nH for c in bits(rg[a])]
         for b in range(H.n):
             row = 0
-            m = blocks
-            while m:
-                c = (m & -m).bit_length() - 1
-                m &= m - 1
-                row |= rh[b] << (c * nH)
-            row &= ~(1 << (a * nH + b))
-            rows.append(row)
+            for s in shifts:
+                row |= rh[b] << s
+            rows.append(row & ~(1 << (a * nH + b)))
     return Graph(n, tuple(rows), _concat_labels(G, H))
 
 
@@ -237,22 +228,18 @@ def conormal_product(G, H, vertex_limit=DEFAULT_VERTEX_LIMIT):
     col = 0  # every block gets H-adjacency of b
     for c in range(G.n):
         col |= 1 << (c * nH)
+    hparts = []
+    for b in range(H.n):
+        hpart = 0
+        for d in bits(H.adj[b]):
+            hpart |= col << d
+        hparts.append(hpart)
     rows = []
     for a in range(G.n):
         gpart = 0
-        m = G.adj[a]
-        while m:
-            c = (m & -m).bit_length() - 1
-            m &= m - 1
+        for c in bits(G.adj[a]):
             gpart |= all_h << (c * nH)
-        for b in range(H.n):
-            hpart = 0
-            mh = H.adj[b]
-            while mh:
-                d = (mh & -mh).bit_length() - 1
-                mh &= mh - 1
-                hpart |= col << d
-            rows.append(gpart | hpart)
+        rows.extend(gpart | hpart for hpart in hparts)
     return Graph(n, tuple(rows), _concat_labels(G, H))
 
 
@@ -270,8 +257,9 @@ def strong_power(G, k, vertex_limit=DEFAULT_VERTEX_LIMIT):
     )
 
 
-def disjoint_union(G, H):
+def disjoint_union(G, H, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Block-diagonal sum; alpha adds, omega takes the max."""
+    _check_limit(G.n + H.n, vertex_limit)
     rows = list(G.adj) + [row << G.n for row in H.adj]
     return Graph(G.n + H.n, tuple(rows), None)
 

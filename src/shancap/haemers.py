@@ -170,43 +170,24 @@ def haemers_certificate(G, B):
 
 def identity_certificate(G, field="Q"):
     n = G.n
-    if field == "Q":
-        rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    else:
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    return FittingMatrix(tuple(tuple(r) for r in rows), field)
+    return fitting_matrix([[int(i == j) for j in range(n)] for i in range(n)],
+                          field)
 
 
 def adjacency_certificate(G, field="Q"):
     """Adjacency plus identity: zeros exactly on the non-adjacent pairs."""
     n = G.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = 1 if (i == j or G.adj[i] >> j & 1) else 0
-            row.append(Fraction(val) if field == "Q" else val % field)
-        rows.append(tuple(row))
-    return FittingMatrix(tuple(rows), field)
+    return fitting_matrix([[int(i == j or G.adj[i] >> j & 1) for j in range(n)]
+                           for i in range(n)], field)
 
 
 def kron(B, C):
     """Tensor product over a shared field; ranks multiply."""
     if B.field != C.field:
         raise FittingError("tensor factors live over different fields")
-    nb, nc = B.n, C.n
-    rows = []
-    for i in range(nb):
-        for k in range(nc):
-            row = []
-            for j in range(nb):
-                for l in range(nc):
-                    val = B.entries[i][j] * C.entries[k][l]
-                    if B.field != "Q":
-                        val %= B.field
-                    row.append(val)
-            rows.append(tuple(row))
-    return FittingMatrix(tuple(rows), B.field)
+    return fitting_matrix([[x * y for x in row_b for y in row_c]
+                           for row_b in B.entries for row_c in C.entries],
+                          B.field)
 
 
 # -- JSON -------------------------------------------------------------------
@@ -226,13 +207,10 @@ def fitting_from_json(text):
     doc = json.loads(text)
     try:
         field = doc["field"]
-        if field == "Q":
-            rows = [[Fraction(x) for x in row] for row in doc["entries"]]
-            return FittingMatrix(tuple(tuple(r) for r in rows), "Q")
-        if field.startswith("GF(") and field.endswith(")"):
-            p = int(field[3:-1])
-            rows = [[int(x) % p for x in row] for row in doc["entries"]]
-            return FittingMatrix(tuple(tuple(r) for r in rows), p)
+        if field != "Q" and field.startswith("GF(") and field.endswith(")"):
+            field = int(field[3:-1])
+        if field == "Q" or isinstance(field, int):
+            return fitting_matrix(doc["entries"], field)
     except (KeyError, TypeError, ValueError) as exc:
         raise FittingError(f"malformed matrix JSON: {exc}")
     raise FittingError(f"unknown field {doc.get('field')!r}")

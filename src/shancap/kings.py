@@ -137,6 +137,13 @@ def _theta_cap(p, d):
     return math.floor(Fraction(_theta_cycle_hi(p)) ** d)
 
 
+def capped_result(pl):
+    """``pl`` as a result whose upper bound is the θ cap of its board; it is
+    proven optimal when it meets the cap."""
+    cap = _theta_cap(pl.board.p, pl.board.d)
+    return KingSearchResult(pl, len(pl) >= cap, cap)
+
+
 def product_placement(first, second):
     """Packing of the (p, a + b) torus from packings of the (p, a) and (p, b)
     tori: the cells x + y for y in ``second`` and x in ``first``.
@@ -236,8 +243,7 @@ def heuristic_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
             if len(prod) > len(pl):
                 pl = prod
         best[k] = canonical_placement(pl)
-    cap = _theta_cap(p, board.d)
-    return KingSearchResult(best[board.d], len(best[board.d]) >= cap, cap)
+    return capped_result(best[board.d])
 
 
 def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):

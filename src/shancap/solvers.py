@@ -1,9 +1,13 @@
 """Exact and heuristic solvers: independence number, cliques, clique covers.
 
-The maximum-independent-set search is a bitmask branch-and-bound in the
-style of Tomita's MCS: every node greedily covers the candidate set by
-cliques, candidates are branched in decreasing cover-class order, and a
-branch is cut as soon as the class index cannot beat the incumbent.
+Every vertex set here is a bitmask (bit v of an int stands for vertex v),
+and ``bits`` walks one.  The maximum-independent-set search is a
+branch-and-bound in the style of Tomita's MCS, with the bit-parallel
+representation of BBMC (San Segundo, Rodríguez-Losada & Jiménez, Comput.
+Oper. Res. 38, 2011): every node greedily covers the candidate set by
+cliques, each kept as one class mask, candidates are branched from the
+last class back, and a branch is cut as soon as the number of classes
+left cannot beat the incumbent.
 Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
 Program. 126, 2011) runs in the same loop: a branched vertex is discarded
 together with its orbit.
@@ -20,7 +24,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, complement
+from .graphs import Graph, bits, complement
 
 DEFAULT_CLIQUE_CAP = 2000
 
@@ -106,22 +110,19 @@ def _vertex_order(G, ordering):
     if ordering == "degree":
         return sorted(range(n), key=lambda v: (-G.adj[v].bit_count(), v))
     # degeneracy: repeatedly strip a minimum-degree vertex, then reverse
-    adj = list(G.adj)
     alive = (1 << n) - 1
     order = []
-    for _ in range(n):
-        best, best_d = -1, n + 1
-        m = alive
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (adj[v] & alive).bit_count()
-            if d < best_d:
-                best, best_d = v, d
-        order.append(best)
-        alive &= ~(1 << best)
-    order.reverse()
-    return order
+    while alive:
+        v = _min_degree(G.adj, alive)
+        order.append(v)
+        alive &= ~(1 << v)
+    return order[::-1]
+
+
+def _min_degree(adj, alive):
+    """Vertex of ``alive`` with the fewest neighbours in it; lowest id on
+    ties."""
+    return min(bits(alive), key=lambda v: (adj[v] & alive).bit_count())
 
 
 class _BudgetExhausted(Exception):
@@ -152,8 +153,8 @@ class _MISEngine:
 
     Every node covers its candidates by greedily peeled cliques (peeling in
     vertex-id order; callers relabel for other priorities), then branches
-    vertices in decreasing cover class: once size + class cannot beat the
-    incumbent the whole remaining node is cut.
+    on the highest vertex of the last class: once size + the number of
+    classes left cannot beat the incumbent the whole remaining node is cut.
     """
 
     def __init__(self, n, adj, cfg, cap=None):
@@ -181,24 +182,24 @@ class _MISEngine:
         if size >= self.cap:
             raise _CapReached
 
-    def cover_order(self, cand):
-        """Greedy clique cover of cand: [(class_index, v)] in class order.
-        Vertices in the first k classes hold at most k independent
-        vertices, which is the pruning bound."""
+    def cover(self, cand):
+        """Greedy clique cover of cand as a list of class masks, each class
+        peeled in increasing vertex id.  The first k classes hold at most k
+        independent vertices, which is the pruning bound."""
+        # hot path: the bit walk is written out instead of calling ``bits``
         adj = self.adj
-        out = []
+        classes = []
         rem = cand
-        k = 0
         while rem:
-            k += 1
+            cls = 0
             ext = rem
             while ext:
-                lsb = ext & -ext
-                v = lsb.bit_length() - 1
-                out.append((k, v))
-                rem ^= lsb
-                ext &= adj[v] & rem
-        return out
+                low = ext & -ext
+                cls |= low
+                rem ^= low
+                ext &= adj[low.bit_length() - 1] & rem
+            classes.append(cls)
+        return classes
 
     def expand(self, cand, size, orbit=None):
         """Search below the current set ``self.cur`` of ``size`` vertices.
@@ -207,11 +208,14 @@ class _MISEngine:
         the rest re-covered; the children search plainly."""
         self.budget.tick()
         nonadj = self.nonadj
-        order = self.cover_order(cand)
-        while order:
-            bound, v = order.pop()
-            if size + bound <= self.best:
-                break
+        classes = self.cover(cand)
+        # hot path: branch on the top bit of the last class by hand
+        while classes and size + len(classes) > self.best:
+            last = classes.pop()
+            v = last.bit_length() - 1
+            last ^= 1 << v
+            if last:
+                classes.append(last)
             ncand = cand & nonadj[v]
             self.cur.append(v)
             if size + 1 > self.best:
@@ -221,11 +225,11 @@ class _MISEngine:
             self.cur.pop()
             if orbit is None:
                 # peeling takes the lowest id of each class first, so
-                # the cover of cand - {v} is the rest of ``order``
+                # the cover of cand - {v} is the rest of ``classes``
                 cand &= ~(1 << v)
             else:
                 cand &= ~orbit(v)
-                order = self.cover_order(cand)
+                classes = self.cover(cand)
 
 
 def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
@@ -246,7 +250,7 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
     eng.seed_incumbent(incumbent)
     eng.seed_incumbent(forced)
     size = len(forced)
-    root_ub = size + (eng.cover_order(cand)[-1][0] if cand else 0)
+    root_ub = size + len(eng.cover(cand))
     proven = True
     try:
         if cand and eng.best < eng.cap:
@@ -287,19 +291,11 @@ def max_independent_set(G, cfg=None):
 def _greedy_independent(G):
     """Deterministic min-degree greedy; cheap incumbent for pruning."""
     alive = (1 << G.n) - 1
-    adj = G.adj
     out = []
     while alive:
-        best, best_d = -1, G.n + 1
-        m = alive
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (adj[v] & alive).bit_count()
-            if d < best_d:
-                best, best_d = v, d
-        out.append(best)
-        alive &= ~(adj[best] | (1 << best))
+        v = _min_degree(G.adj, alive)
+        out.append(v)
+        alive &= ~(G.adj[v] | (1 << v))
     return out
 
 
@@ -340,23 +336,16 @@ def heuristic_independent_set(G, cfg=None, restarts=10):
             for v in list(sol):
                 rest = sol_mask & ~(1 << v)
                 closed = rest
-                m = rest
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    m &= m - 1
+                for u in bits(rest):
                     closed |= adj[u]
                 free = full & ~closed & ~(1 << v)
                 # two mutually non-adjacent replacements beat keeping v
-                m = free
                 found = None
-                while m and found is None:
-                    a = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    second = free & nonadj_closed[a]
-                    second &= ~((1 << (a + 1)) - 1)
+                for a in bits(free):
+                    second = free & nonadj_closed[a] >> (a + 1) << (a + 1)
                     if second:
-                        b = (second & -second).bit_length() - 1
-                        found = (a, b)
+                        found = (a, next(bits(second)))
+                        break
                 if found:
                     sol.remove(v)
                     sol.extend(found)
@@ -364,18 +353,15 @@ def heuristic_independent_set(G, cfg=None, restarts=10):
                     improved = True
             # plain additions
             closed = sol_mask
-            m = sol_mask
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
+            for u in bits(sol_mask):
                 closed |= adj[u]
             free = full & ~closed
-            while free:
-                a = (free & -free).bit_length() - 1
-                sol.append(a)
-                sol_mask |= 1 << a
-                free &= nonadj_closed[a]
-                improved = True
+            for a in bits(free):
+                if free >> a & 1:  # free shrinks as vertices join
+                    sol.append(a)
+                    sol_mask |= 1 << a
+                    free &= nonadj_closed[a]
+                    improved = True
         if len(sol) > len(best):
             best = tuple(sorted(sol))
     result = IndependentSet(best, False, G.n)
@@ -404,32 +390,14 @@ def enumerate_maximal_cliques(G, cap=DEFAULT_CLIQUE_CAP):
                     "graphs fall back to edge constraints"
                 )
             return
-        pivot, pivot_deg = -1, -1
-        m = p | x
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (adj[u] & p).bit_count()
-            if d > pivot_deg:
-                pivot, pivot_deg = u, d
-        m = p & ~adj[pivot]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
+        pivot = max(bits(p | x), key=lambda u: (adj[u] & p).bit_count())
+        for v in bits(p & ~adj[pivot]):
             bk(r | (1 << v), p & adj[v], x & adj[v])
             p &= ~(1 << v)
             x |= 1 << v
 
     bk(0, (1 << G.n) - 1, 0)
-    cliques = []
-    for mask in out:
-        vs = []
-        while mask:
-            vs.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        cliques.append(tuple(vs))
-    cliques.sort()
-    return cliques
+    return sorted(tuple(bits(mask)) for mask in out)
 
 
 # -- clique cover via exact coloring of the complement ----------------------
@@ -437,18 +405,15 @@ def enumerate_maximal_cliques(G, cap=DEFAULT_CLIQUE_CAP):
 
 def _greedy_coloring(adj, n):
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    color = [-1] * n
     classes = []
     for v in order:
         for c, members in enumerate(classes):
             if not members & adj[v]:
                 classes[c] |= 1 << v
-                color[v] = c
                 break
         else:
             classes.append(1 << v)
-            color[v] = len(classes) - 1
-    return color, classes
+    return classes
 
 
 def _greedy_clique(adj, n):
@@ -458,14 +423,7 @@ def _greedy_clique(adj, n):
         mask = 1 << start
         cand = adj[start]
         while cand:
-            pick, pick_d = -1, -1
-            m = cand
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                d = (adj[v] & cand).bit_count()
-                if d > pick_d:
-                    pick, pick_d = v, d
+            pick = max(bits(cand), key=lambda v: (adj[v] & cand).bit_count())
             mask |= 1 << pick
             cand &= adj[pick]
         if mask.bit_count() > best.bit_count():
@@ -477,58 +435,30 @@ def _color_exact(adj, n, k, clique_mask, budget):
     """Backtracking k-coloring; the seed clique is pre-colored 0,1,2,...
     ``budget`` (a ``_Budget``) is ticked on every node; returns list of
     class masks or None."""
-    color = [-1] * n
-    classes = [0] * k
-    used = 0
-    m = clique_mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        if used >= k:
-            return None
-        color[v] = used
-        classes[used] |= 1 << v
-        used += 1
-    uncolored = [v for v in range(n) if color[v] < 0]
-    uncolored.sort(key=lambda v: (-adj[v].bit_count(), v))
+    used = clique_mask.bit_count()
+    if used > k:
+        return None
+    classes = [1 << v for v in bits(clique_mask)] + [0] * (k - used)
 
-    def pick():
-        best, best_key = -1, None
-        for v in uncolored:
-            if color[v] >= 0:
-                continue
-            sat = 0
-            m = adj[v]
-            seen = 0
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if color[u] >= 0 and not seen >> color[u] & 1:
-                    seen |= 1 << color[u]
-                    sat += 1
-            key = (-sat, -adj[v].bit_count(), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        return best
+    def saturation(v):  # the number of classes that meet N(v)
+        return sum(1 for c in classes if c & adj[v])
 
-    def bt(remaining, used):
-        if remaining == 0:
+    def bt(uncolored, used):
+        if not uncolored:
             return True
         budget.tick()
-        v = pick()
-        limit = min(k, used + 1)
-        for c in range(limit):
+        v = min(bits(uncolored), key=lambda u: (-saturation(u),
+                                                 -adj[u].bit_count()))
+        for c in range(min(k, used + 1)):
             if classes[c] & adj[v]:
                 continue
-            color[v] = c
             classes[c] |= 1 << v
-            if bt(remaining - 1, max(used, c + 1)):
+            if bt(uncolored & ~(1 << v), max(used, c + 1)):
                 return True
-            color[v] = -1
             classes[c] &= ~(1 << v)
         return False
 
-    if bt(len([v for v in uncolored if color[v] < 0]), used):
+    if bt(((1 << n) - 1) & ~clique_mask, used):
         return [c for c in classes if c]
     return None
 
@@ -548,7 +478,7 @@ def clique_cover_number(G, cfg=None):
     H = complement(G)
     n = G.n
     adj = H.adj
-    _, greedy_classes = _greedy_coloring(adj, n)
+    greedy_classes = _greedy_coloring(adj, n)
     ub = len(greedy_classes)
     clique_mask = _greedy_clique(adj, n)
     lb = clique_mask.bit_count()
@@ -565,14 +495,7 @@ def clique_cover_number(G, cfg=None):
             proven = True
         except _BudgetExhausted:
             proven = False
-    parts = []
-    for mask in best_classes:
-        vs = []
-        while mask:
-            vs.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        parts.append(tuple(vs))
-    parts.sort()
+    parts = sorted(tuple(bits(mask)) for mask in best_classes)
     cover = CliqueCover(tuple(parts), proven)
     _validate_cover(G, cover)
     return len(parts), cover

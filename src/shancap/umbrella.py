@@ -243,11 +243,9 @@ def tensor_umbrella(u, v):
     if isinstance(u, VectorUmbrella) != isinstance(v, VectorUmbrella):
         u = density_from_vector(u) if isinstance(u, VectorUmbrella) else u
         v = density_from_vector(v) if isinstance(v, VectorUmbrella) else v
-    if isinstance(u, VectorUmbrella):
-        states = np.stack([np.kron(su, sv) for su in u.states for sv in v.states])
-        return VectorUmbrella(u.dim * v.dim, np.kron(u.handle, v.handle), states)
+    kind = VectorUmbrella if isinstance(u, VectorUmbrella) else DensityUmbrella
     states = np.stack([np.kron(su, sv) for su in u.states for sv in v.states])
-    return DensityUmbrella(u.dim * v.dim, np.kron(u.handle, v.handle), states)
+    return kind(u.dim * v.dim, np.kron(u.handle, v.handle), states)
 
 
 def density_from_vector(u):

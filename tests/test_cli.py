@@ -229,3 +229,74 @@ def test_a_verb_rejects_a_flag_it_does_not_read(capsys, argv):
     code, _, err = run_capture(capsys, argv)
     assert code == 1
     assert "unrecognized arguments" in err
+
+
+def test_kings_layered_reports_the_theta_cap(capsys):
+    # floor(theta(C5)^2) = 5 caps every packing of the 5^2 torus
+    code, out, _ = run_capture(
+        capsys, ["kings", "--p", "5", "--d", "2", "--method", "layered",
+                 "--json"])
+    assert code == 0
+    assert json.loads(out)["upper_bound"] == 5
+
+
+def test_kings_layered_sub_board_is_guarded(capsys):
+    # the (7,3) sub-board has 343 cells: the heuristic stands in for the
+    # exact search, as it does for --method exact on that board
+    code, out, _ = run_capture(
+        capsys, ["kings", "--p", "7", "--d", "4", "--method", "layered",
+                 "--time-budget", "2", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert "--force-exact" in doc["note"]
+    assert doc["count"] == 3 * 30 and doc["upper_bound"] == 121
+
+
+def test_kings_heuristic_method(capsys):
+    code, out, _ = run_capture(
+        capsys, ["kings", "--p", "5", "--d", "2", "--method", "heuristic",
+                 "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 5 and doc["proven"] is True
+    assert doc["upper_bound"] == 5 and "note" not in doc
+
+
+def test_product_union_honours_vertex_limit(capsys):
+    for kind in ("strong", "conormal", "union"):
+        code, _, err = run_capture(
+            capsys, ["product", kind, "cycle:5", "cycle:5",
+                     "--vertex-limit", "6"])
+        assert code == 1
+        assert "limit 6" in err
+
+
+def test_complement_verb(capsys):
+    code, out, _ = run_capture(capsys, ["complement", "cycle:5", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n"] == 5
+    assert sorted(map(tuple, doc["edges"])) == [(0, 2), (0, 3), (1, 3), (1, 4),
+                                                (2, 4)]
+
+
+def test_bounds_text_output(capsys):
+    code, out, _ = run_capture(
+        capsys, ["bounds", "cycle:5", "--max-power", "2"])
+    assert code == 0
+    assert out.startswith("capacity bounds for cycle:5 (n=5, m=5)\n")
+    assert "  lower: 2.236068 = 5^(1/2) [exact]\n" in out
+    assert "  upper: 2.236068 from theta" in out
+    assert "    k=2: alpha=5  root=2.236068\n" in out
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("strong(cycle:5,cycle:5))", "unbalanced parenthesis"),
+    ("strong((cycle:5,cycle:5)", "unbalanced parenthesis"),
+    ("twist(cycle:5)", "unknown operator"),
+    ("power(cycle:5,x)", "power exponent must be an integer"),
+    ("complement(cycle:5,cycle:5)", "complement takes one argument"),
+])
+def test_spec_parser_error_messages(spec, message):
+    with pytest.raises(SpecParseError, match=message):
+        graph_spec_parse(spec)

@@ -142,3 +142,15 @@ def test_composite_modulus_rejected():
     with pytest.raises(FittingError):
         fitting_from_json('{"field": "GF(4)", "entries": [[1, 0], [0, 1]]}')
     assert matrix_rank(fitting_matrix([[2, 0], [0, 2]], field=5)) == 2
+
+
+def test_rank_kron_multiplicative_over_gf2():
+    # det = 2: rank 3 over Q but 2 over GF(2)
+    B = fitting_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]], field=2)
+    C = adjacency_certificate(cycle(6), field=2)
+    assert (matrix_rank(B), matrix_rank(C)) == (2, 4)
+    K = kron(B, C)
+    assert K.field == 2
+    assert {x for row in K.entries for x in row} == {0, 1}
+    assert matrix_rank(K) == 8
+    assert matrix_rank(kron(K, B)) == 16

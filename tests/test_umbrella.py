@@ -246,3 +246,15 @@ def test_umbrella_json_roundtrip():
     assert np.array_equal(back.states, d.states)
     with pytest.raises(UmbrellaError):
         umbrella_from_json('{"dim": 3, "kind": "nonsense"}')
+
+
+def test_tensor_of_vector_and_density_umbrellas():
+    u5 = odd_cycle_umbrella(5)
+    G = strong_product(cycle(5), cycle(5))
+    for left, right in ((u5, density_from_vector(u5)),
+                        (density_from_vector(u5), u5)):
+        t = tensor_umbrella(left, right)
+        assert isinstance(t, DensityUmbrella)
+        rep = verify_umbrella(t, G)
+        assert rep.valid
+        assert 5.0 <= rep.value < 5.0 + 1e-9
