@@ -7,7 +7,10 @@ representation of BBMC (San Segundo, Rodríguez-Losada & Jiménez, Comput.
 Oper. Res. 38, 2011): every node greedily covers the candidate set by
 cliques, each kept as one class mask, candidates are branched from the
 last class back, and a branch is cut as soon as the number of classes
-left cannot beat the incumbent.
+left cannot beat the incumbent.  The engine works on the caller's labels
+reversed (caller vertex v is engine bit n - 1 - v): peeling the caller's
+lowest id first is then peeling the engine's top bit first, which
+``int.bit_length`` reads directly, with no negation and no mask isolation.
 Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
 Program. 126, 2011) runs in the same loop: a branched vertex is discarded
 together with its orbit.
@@ -20,6 +23,7 @@ most one node's work.
 
 from __future__ import annotations
 
+import logging
 import random
 import time
 from dataclasses import dataclass
@@ -27,6 +31,8 @@ from dataclasses import dataclass
 from .graphs import Graph, bits, complement
 
 DEFAULT_CLIQUE_CAP = 2000
+
+logger = logging.getLogger(__name__)
 
 _ORDERINGS = ("degree", "degeneracy", "label")
 
@@ -148,21 +154,39 @@ class _Budget:
         self.nodes += 1
 
 
+_BYTE_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _reversed_mask(mask, n):
+    """``mask`` (bits below n) with bit v moved to bit n - 1 - v."""
+    width = (n + 7) // 8
+    flipped = mask.to_bytes(width, "little").translate(_BYTE_REVERSED)
+    return int.from_bytes(flipped, "big") >> (8 * width - n)
+
+
 class _MISEngine:
     """Branch-and-bound over candidate bitmasks.
 
-    Every node covers its candidates by greedily peeled cliques (peeling in
-    vertex-id order; callers relabel for other priorities), then branches
-    on the highest vertex of the last class: once size + the number of
-    classes left cannot beat the incumbent the whole remaining node is cut.
+    The engine sees its graph through ``rows``, already in engine labels:
+    ``_run_engine`` hands it the caller's labels reversed, so that the
+    caller's lowest id is the engine's top bit.  Every node covers its
+    candidates by greedily peeled cliques, top bit first (the caller's
+    increasing id order; callers relabel for other priorities), then
+    branches on the lowest bit of the last class: once size + the number
+    of classes left cannot beat the incumbent the whole remaining node is
+    cut.  The tables are indexed by ``bit_length``: entry b describes
+    engine bit b - 1, so a peeled top bit costs one ``bit_length`` and two
+    table reads.  ``cur`` and ``best_set`` hold such indices b.
     """
 
-    def __init__(self, n, adj, cfg, cap=None):
-        self.n = n
-        self.adj = adj
+    def __init__(self, rows, cfg, cap=None):
+        n = len(rows)
         full = (1 << n) - 1
         self.full = full
-        self.nonadj = [~(adj[v] | (1 << v)) & full for v in range(n)]
+        self.bit = [0] + [1 << v for v in range(n)]
+        self.adj = [0] + list(rows)
+        self.nonadj = [0] + [~(row | (1 << v)) & full
+                             for v, row in enumerate(rows)]
         self.best = 0
         self.best_set = []
         self.cur = []
@@ -184,52 +208,66 @@ class _MISEngine:
 
     def cover(self, cand):
         """Greedy clique cover of cand as a list of class masks, each class
-        peeled in increasing vertex id.  The first k classes hold at most k
+        peeled from its top bit down.  The first k classes hold at most k
         independent vertices, which is the pruning bound."""
-        # hot path: the bit walk is written out instead of calling ``bits``
+        # hot path: the bit walk is written out instead of calling ``bits``;
+        # ext stays inside rem because no row contains its own vertex
         adj = self.adj
+        bit = self.bit
         classes = []
         rem = cand
         while rem:
             cls = 0
             ext = rem
             while ext:
-                low = ext & -ext
-                cls |= low
-                rem ^= low
-                ext &= adj[low.bit_length() - 1] & rem
+                b = ext.bit_length()
+                cls |= bit[b]
+                ext &= adj[b]
+            rem ^= cls
             classes.append(cls)
         return classes
 
     def expand(self, cand, size, orbit=None):
         """Search below the current set ``self.cur`` of ``size`` vertices.
-        With ``orbit`` (vertex -> bitmask of its orbit under a symmetry of
-        the node), a branched vertex is discarded with its whole orbit and
-        the rest re-covered; the children search plainly."""
+        With ``orbit`` (index b -> engine mask of its orbit under a symmetry
+        of the node), a branched vertex is discarded with its whole orbit
+        and the rest re-covered; the children search plainly."""
         self.budget.tick()
         nonadj = self.nonadj
         classes = self.cover(cand)
-        # hot path: branch on the top bit of the last class by hand
+        # hot path: branch on the low bit of the last class by hand
         while classes and size + len(classes) > self.best:
             last = classes.pop()
-            v = last.bit_length() - 1
-            last ^= 1 << v
+            low = last & -last
+            last ^= low
             if last:
                 classes.append(last)
-            ncand = cand & nonadj[v]
-            self.cur.append(v)
+            b = low.bit_length()
+            ncand = cand & nonadj[b]
+            self.cur.append(b)
             if size + 1 > self.best:
                 self.improve(size + 1)
             if ncand:
                 self.expand(ncand, size + 1)
             self.cur.pop()
             if orbit is None:
-                # peeling takes the lowest id of each class first, so
-                # the cover of cand - {v} is the rest of ``classes``
-                cand &= ~(1 << v)
+                # peeling takes the top bit of each class first, so the
+                # cover of cand - {low} is the rest of ``classes``
+                cand ^= low
             else:
-                cand &= ~orbit(v)
+                cand &= ~orbit(b)
                 classes = self.cover(cand)
+
+
+def _check_vertices(G, vertices, what):
+    """Reject ``vertices`` unless they are distinct in-range ids of an
+    independent set of G."""
+    if any(v not in range(G.n) for v in vertices):
+        raise SolverError(f"{what} vertices must be ids in range({G.n})")
+    if len(set(vertices)) != len(vertices):
+        raise SolverError(f"{what} vertices repeat a vertex")
+    if not is_independent_set(G, vertices):
+        raise SolverError(f"{what} vertices are not independent")
 
 
 def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
@@ -238,29 +276,52 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
     orbital branching (include a representative or discard its whole orbit).
     ``cap``, a proven upper bound on the answer, ends the search as soon as
     the incumbent meets it (with 0 nodes when the seed already does) and
-    caps the reported upper bound.
+    caps the reported upper bound.  Every argument and result is in G's
+    labels; the engine's reversed labels stay in here.  Logs one debug line
+    per search: n, nodes, seconds, nodes/s and the stop reason.
     Returns (vertices, proven, upper_bound, nodes)."""
-    eng = _MISEngine(G.n, G.adj, cfg, cap)
+    _check_vertices(G, forced, "forced")
+    _check_vertices(G, incumbent, "incumbent")
+    n = G.n
+    # caller vertex v is engine bit n - 1 - v, i.e. table index b = n - v
+    eng = _MISEngine([_reversed_mask(row, n) for row in reversed(G.adj)],
+                     cfg, cap)
     cand = eng.full
     for v in forced:
-        if not cand >> v & 1:
-            raise SolverError("forced vertices are not independent")
-        cand &= eng.nonadj[v]
-    eng.cur = list(forced)
-    eng.seed_incumbent(incumbent)
-    eng.seed_incumbent(forced)
+        cand &= eng.nonadj[n - v]
+    eng.cur = [n - v for v in forced]
+    eng.seed_incumbent([n - v for v in incumbent])
+    eng.seed_incumbent(eng.cur)
+    orbit = None
+    if orbit_fn is not None:
+        def orbit(b):
+            return _reversed_mask(orbit_fn(n - b), n)
+    start = time.monotonic()
     size = len(forced)
     root_ub = size + len(eng.cover(cand))
     proven = True
     try:
         if cand and eng.best < eng.cap:
-            eng.expand(cand, size, orbit_fn)
+            eng.expand(cand, size, orbit)
     except _BudgetExhausted:
         proven = False
     except _CapReached:
         pass
+    seconds = time.monotonic() - start
+    nodes = eng.budget.nodes
+    if eng.best >= eng.cap:
+        reason = "cap reached"
+    elif proven:
+        reason = "proven"
+    elif nodes >= eng.budget.node_budget:
+        reason = "node budget"
+    else:
+        reason = "time budget"
+    logger.debug("MIS search: n=%d nodes=%d %.3f s %.0f nodes/s stop=%s",
+                 n, nodes, seconds, nodes / seconds if seconds > 0 else 0.0,
+                 reason)
     upper = eng.best if proven else min(max(eng.best, root_ub), eng.cap)
-    return tuple(sorted(eng.best_set)), proven, upper, eng.budget.nodes
+    return tuple(sorted(n - b for b in eng.best_set)), proven, upper, nodes
 
 
 def max_independent_set(G, cfg=None):

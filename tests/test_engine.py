@@ -1,0 +1,105 @@
+"""The MIS engine behind ``max_independent_set`` and ``exact_max_kings``,
+through its driver ``_run_engine``: pinned searches, input checks and the
+debug line."""
+
+import logging
+import random
+
+import pytest
+
+from shancap.graphs import cycle, from_edges, strong_power
+from shancap.kings import Board, _stabilizer_orbit, king_graph
+from shancap.solvers import SolverConfig, SolverError, _run_engine
+
+
+def _g70():
+    rng = random.Random(11)
+    return from_edges(70, [(u, v) for u in range(70) for v in range(u + 1, 70)
+                           if rng.random() < 0.2])
+
+
+def _kings_7_2_call():
+    """The call ``exact_max_kings`` makes on (7, 2), with its heuristic
+    incumbent written out."""
+    board = Board(7, 2)
+    idx = board.index
+
+    def orbit_mask(v):
+        mask = 0
+        for cell in _stabilizer_orbit(board, idx.decode(v)):
+            mask |= 1 << idx.encode(cell)
+        return mask
+
+    return _run_engine(king_graph(board), SolverConfig(),
+                       forced=(idx.encode((0, 0)),), orbit_fn=orbit_mask,
+                       incumbent=(0, 2, 12, 15, 17, 27, 32, 37, 41, 46), cap=11)
+
+
+# Whole results, node counts included: a change that claims the same
+# search node for node must leave every one of them as it is.
+GOLDEN = [
+    (lambda: _run_engine(strong_power(cycle(7), 2), SolverConfig()),
+     ((2, 11, 15, 20, 24, 28, 33, 37, 46, 48), True, 10, 1061)),
+    (lambda: _run_engine(strong_power(cycle(9), 2), SolverConfig()),
+     ((1, 3, 14, 16, 18, 20, 31, 33, 37, 44, 48, 50, 54, 61, 65, 67, 78, 80),
+      True, 18, 47400)),
+    (lambda: _run_engine(strong_power(cycle(5), 3),
+                         SolverConfig(node_budget=5000)),
+     ((6, 33, 42, 51, 60, 74, 87, 114, 122, 124), False, 27, 5000)),
+    (lambda: _run_engine(_g70(), SolverConfig()),
+     ((3, 12, 20, 22, 33, 34, 37, 38, 41, 44, 47, 48, 54, 58, 59, 63, 66, 69),
+      True, 18, 947)),
+    (_kings_7_2_call,
+     ((0, 2, 12, 15, 17, 27, 32, 37, 41, 46), True, 10, 26)),
+]
+
+
+@pytest.mark.parametrize("call,expected", GOLDEN,
+                         ids=["C7^2", "C9^2", "C5^3-5000", "G70", "kings7x2"])
+def test_engine_golden(call, expected):
+    assert call() == expected
+
+
+def test_incumbent_that_is_not_independent_is_rejected():
+    # accepted, it would "prove" alpha(C7) = 4; the true value is 3
+    with pytest.raises(SolverError, match="not independent"):
+        _run_engine(cycle(7), SolverConfig(), incumbent=(0, 1, 2, 3))
+
+
+def test_incumbent_out_of_range_is_rejected():
+    with pytest.raises(SolverError, match="range"):
+        _run_engine(cycle(7), SolverConfig(), incumbent=(9, 8, 7, 6))
+
+
+def test_incumbent_with_a_repeated_vertex_is_rejected():
+    with pytest.raises(SolverError, match="repeat"):
+        _run_engine(cycle(7), SolverConfig(), incumbent=(0, 0, 3))
+
+
+def test_negative_forced_vertex_is_rejected():
+    with pytest.raises(SolverError, match="range"):
+        _run_engine(cycle(7), SolverConfig(), forced=(-1,))
+
+
+def test_forced_vertex_out_of_range_is_named_as_such():
+    with pytest.raises(SolverError, match="range"):
+        _run_engine(cycle(7), SolverConfig(), forced=(7,))
+
+
+def test_one_debug_line_per_search(caplog):
+    caplog.set_level(logging.DEBUG, logger="shancap.solvers")
+    _run_engine(strong_power(cycle(7), 2), SolverConfig())
+    _run_engine(strong_power(cycle(5), 3), SolverConfig(node_budget=5000))
+    _run_engine(king_graph(Board(5, 2)), SolverConfig(), cap=5)
+    _run_engine(strong_power(cycle(7), 2), SolverConfig(time_budget=1e-9))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "shancap.solvers"]
+    assert len(lines) == 4
+    assert lines[0].startswith("MIS search: n=49 nodes=1061 ")
+    assert "nodes/s" in lines[0]
+    assert lines[0].endswith("stop=proven")
+    assert lines[1].startswith("MIS search: n=125 nodes=5000 ")
+    assert lines[1].endswith("stop=node budget")
+    assert lines[2].endswith("stop=cap reached")
+    assert lines[3].startswith("MIS search: n=49 nodes=0 ")
+    assert lines[3].endswith("stop=time budget")
