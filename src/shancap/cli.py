@@ -276,10 +276,6 @@ def run(argv=None):
         return _fail(str(exc))
 
 
-def _graph_json(G):
-    return json.loads(graphio.write_json(G))
-
-
 def _dispatch(args):
     degraded = False
     verb = args.verb
@@ -291,8 +287,7 @@ def _dispatch(args):
 
     if verb == "complement":
         G, _ = _graph_arg(args)
-        H = complement(G)
-        _emit(args, _graph_json(H), graphio.write_json(H))
+        print(graphio.write_json(complement(G)))
         return EXIT_OK
 
     if verb == "product":
@@ -300,14 +295,13 @@ def _dispatch(args):
         R = graph_spec_parse(args.right, vertex_limit=args.vertex_limit)
         op = {"strong": strong_product, "conormal": conormal_product,
               "union": disjoint_union}[args.kind]
-        P = op(L, R, vertex_limit=args.vertex_limit)
-        _emit(args, _graph_json(P), graphio.write_json(P))
+        print(graphio.write_json(op(L, R, vertex_limit=args.vertex_limit)))
         return EXIT_OK
 
     if verb == "power":
         G, _ = _graph_arg(args)
-        P = strong_power(G, args.k, vertex_limit=args.vertex_limit)
-        _emit(args, _graph_json(P), graphio.write_json(P))
+        print(graphio.write_json(
+            strong_power(G, args.k, vertex_limit=args.vertex_limit)))
         return EXIT_OK
 
     if verb == "alpha":

@@ -194,20 +194,26 @@ def parse_json(text):
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphFormatError("JSON graph needs 'n' and 'edges' fields")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise GraphFormatError("'n' must be a positive integer")
+    if not isinstance(doc["edges"], list):
+        raise GraphFormatError("'edges' must be a list")
     edges = []
     for e in doc["edges"]:
         if (not isinstance(e, (list, tuple)) or len(e) != 2
-                or not all(isinstance(x, int) for x in e)):
+                or not all(type(x) is int for x in e)):
             raise GraphFormatError(f"bad edge entry {e!r}")
         u, v = e
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise GraphFormatError(f"edge [{u}, {v}] out of range for n={n}")
         edges.append((u, v))
-    labels = None
-    if doc.get("labels") is not None:
-        labels = tuple(tuple(t) for t in doc["labels"])
+    labels = doc.get("labels")
+    if labels is not None:
+        if not (isinstance(labels, list) and all(
+                isinstance(t, list) and all(type(x) is int for x in t)
+                for t in labels)):
+            raise GraphFormatError("'labels' must be a list of integer lists")
+        labels = tuple(tuple(t) for t in labels)
     return from_edges(n, edges, labels)
 
 

@@ -8,8 +8,8 @@ under tensor products, which extends the bound to all strong powers.
 The opposite zero-on-adjacent convention does not support this argument,
 so the convention in force is stated in every certificate.
 
-Ranks are computed exactly: fraction-free (Bareiss) elimination over the
-rationals, straight elimination over GF(p).
+Ranks are computed exactly, over Q and over GF(p) alike, by one
+fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -90,73 +90,37 @@ def verify_fitting(B, G):
     return FittingReport(True, None)
 
 
-def _rank_bareiss(rows):
-    """Fraction-free elimination; rows are cleared to integers first (row
-    scaling by positive rationals leaves the rank alone)."""
-    mat = []
-    for row in rows:
-        scale = lcm(*(f.denominator for f in row)) if row else 1
-        mat.append([int(f * scale) for f in row])
-    n = len(mat)
-    m = len(mat[0]) if mat else 0
-    rank = 0
-    prev = 1
-    row_i = 0
-    for col in range(m):
-        pivot = -1
-        for r in range(row_i, n):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot < 0:
+def matrix_rank(B):
+    """Rank by one fraction-free elimination (Bareiss, Math. Comp. 1968).
+
+    Each row is first cleared of denominators; scaling a row by a nonzero
+    number leaves the rank alone.  Over Q every step divides exactly by the
+    previous pivot, which keeps the entries the size of minors.  Over GF(p)
+    entries are reduced mod p instead, and rows with a 0 in the pivot
+    column are left as they are."""
+    p = None if B.field == "Q" else B.field
+    rows = []
+    for row in B.entries:
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    rank, prev = 0, 1
+    for col in range(B.n):
+        pivot = next((r for r in range(rank, B.n) if rows[r][col]), None)
+        if pivot is None:
             continue
-        mat[row_i], mat[pivot] = mat[pivot], mat[row_i]
-        pv = mat[row_i][col]
-        for r in range(row_i + 1, n):
-            factor = mat[r][col]
-            for c in range(col, m):
-                mat[r][c] = (pv * mat[r][c] - factor * mat[row_i][c]) // prev
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv, top = rows[rank][col], rows[rank][col:]
+        for row in rows[rank + 1:]:
+            f = row[col]
+            if p is None:
+                row[col:] = [(pv * x - f * y) // prev
+                             for x, y in zip(row[col:], top)]
+            elif f:
+                row[col:] = [(pv * x - f * y) % p
+                             for x, y in zip(row[col:], top)]
         prev = pv
         rank += 1
-        row_i += 1
-        if row_i == n:
-            break
     return rank
-
-
-def _rank_gfp(rows, p):
-    mat = [list(row) for row in rows]
-    n = len(mat)
-    m = len(mat[0]) if mat else 0
-    rank = 0
-    row_i = 0
-    for col in range(m):
-        pivot = -1
-        for r in range(row_i, n):
-            if mat[r][col] % p != 0:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        mat[row_i], mat[pivot] = mat[pivot], mat[row_i]
-        inv = pow(mat[row_i][col], -1, p)
-        mat[row_i] = [(x * inv) % p for x in mat[row_i]]
-        for r in range(row_i + 1, n):
-            factor = mat[r][col] % p
-            if factor:
-                mat[r] = [(x - factor * y) % p
-                          for x, y in zip(mat[r], mat[row_i])]
-        rank += 1
-        row_i += 1
-        if row_i == n:
-            break
-    return rank
-
-
-def matrix_rank(B):
-    if B.field == "Q":
-        return _rank_bareiss(B.entries)
-    return _rank_gfp(B.entries, B.field)
 
 
 def haemers_certificate(G, B):
@@ -207,6 +171,8 @@ def fitting_from_json(text):
     doc = json.loads(text)
     try:
         field = doc["field"]
+        if not isinstance(field, str):
+            raise FittingError(f"field must be a string, not {field!r}")
         if field != "Q" and field.startswith("GF(") and field.endswith(")"):
             field = int(field[3:-1])
         if field == "Q" or isinstance(field, int):

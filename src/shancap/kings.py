@@ -159,10 +159,21 @@ def product_placement(first, second):
                                   for x in first.cells))
 
 
-def _floors(p):
-    """The floors 0, 2, 4, ... < p - 1 of the p-cycle: floor(p/2) of them,
-    the most a p-cycle holds."""
-    return range(0, p - 1, 2)
+def _floor_packing(p, floors=None):
+    """The floors of a layered packing as a packing of the p-cycle, checked
+    like any other.  The default floors 0, 2, 4, ... < p - 1 are floor(p/2)
+    of them, the most a p-cycle holds."""
+    if floors is None:
+        floors = range(0, p - 1, 2)
+    floors = tuple(sorted(set(floors)))
+    if not floors:
+        raise PlacementError("need at least one floor")
+    pl = Placement(Board(p, 1), tuple((f,) for f in floors))
+    ok, pair = verify_placement(pl)
+    if not ok:
+        f, g = (floors[i] for i in pair)
+        raise PlacementError(f"floors {f} and {g} are adjacent mod {p}")
+    return pl
 
 
 def layered_construction(base, floors=None):
@@ -170,28 +181,14 @@ def layered_construction(base, floors=None):
 
     Floors must be pairwise at cyclic distance >= 2 so kings in different
     floors can never touch; within a floor the base packing guarantees it.
-    This is ``product_placement`` with a packing of the p-cycle; the
-    default floors are ``_floors(p)``.
+    This is ``product_placement`` with the packing ``_floor_packing(p,
+    floors)`` of the p-cycle.
     """
-    p = base.board.p
-    if floors is None:
-        floors = _floors(p)
-    floors = tuple(sorted(set(floors)))
-    if not floors:
-        raise PlacementError("need at least one floor")
-    for f in floors:
-        if not 0 <= f < p:
-            raise PlacementError(f"floor {f} out of range 0..{p - 1}")
-    for i, f in enumerate(floors):
-        for g in floors[i + 1:]:
-            diff = abs(f - g)
-            if min(diff, p - diff) < 2:
-                raise PlacementError(f"floors {f} and {g} are adjacent mod {p}")
+    layers = _floor_packing(base.board.p, floors)
     ok, pair = verify_placement(base)
     if not ok:
         raise PlacementError(f"base placement invalid at cell pair {pair}")
-    out = product_placement(base, Placement(Board(p, 1),
-                                            tuple((f,) for f in floors)))
+    out = product_placement(base, layers)
     ok, pair = verify_placement(out)
     if not ok:
         raise PlacementError(f"layered placement invalid at cell pair {pair}")
@@ -200,14 +197,12 @@ def layered_construction(base, floors=None):
 
 def canonical_placement(pl):
     """Lexicographically smallest translate; makes serialized artifacts
-    diff-stable."""
-    p, d = pl.board.p, pl.board.d
-    best = None
-    for shift in product(range(p), repeat=d):
-        moved = tuple(sorted(tuple((c + s) % p for c, s in zip(cell, shift))
+    diff-stable.  That translate begins with the origin, so only the shifts
+    moving some king to the origin are tried."""
+    p = pl.board.p
+    best = min((tuple(sorted(tuple((c - k) % p for c, k in zip(cell, king))
                              for cell in pl.cells))
-        if best is None or moved < best:
-            best = moved
+                for king in pl.cells), default=())
     return Placement(pl.board, best)
 
 
@@ -232,7 +227,7 @@ def heuristic_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     optimal when the packing meets it."""
     cfg = cfg or SolverConfig()
     p = board.p
-    best = {1: Placement(Board(p, 1), tuple((f,) for f in _floors(p)))}
+    best = {1: _floor_packing(p)}
     for k in range(2, board.d + 1):
         sub = Board(p, k)
         G = king_graph(sub, vertex_limit)
@@ -297,11 +292,14 @@ def placement_to_json(pl):
 def placement_from_json(text):
     doc = json.loads(text)
     try:
-        board = Board(int(doc["p"]), int(doc["d"]))
-        cells = tuple(tuple(int(x) for x in c) for c in doc["cells"])
-    except (KeyError, TypeError, ValueError) as exc:
+        p, d = doc["p"], doc["d"]
+        cells = tuple(tuple(c) for c in doc["cells"])
+    except (KeyError, TypeError) as exc:
         raise PlacementError(f"malformed placement JSON: {exc}")
-    return Placement(board, cells)
+    if not all(type(x) is int for x in (p, d, *(x for c in cells for x in c))):
+        raise PlacementError("placement JSON holds a non-integer p, d or "
+                             "coordinate")
+    return Placement(Board(p, d), cells)
 
 
 # -- rendering ----------------------------------------------------------------

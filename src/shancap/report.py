@@ -273,7 +273,11 @@ def verify_report(report, vertex_limit=DEFAULT_VERTEX_LIMIT):
     else:
         Gk = strong_power(report.graph, k, vertex_limit=vertex_limit)
         ids = {Gk.label_of(v): v for v in range(Gk.n)}
-        verts = [ids[cell] for cell in report.lower.witness]
+        try:
+            verts = [ids[cell] for cell in report.lower.witness]
+        except KeyError as exc:
+            raise ReportError(f"lower witness cell {exc.args[0]} is not a "
+                              f"vertex of G^{k}") from None
         if not is_independent_set(Gk, verts):
             raise ReportError("lower witness is not independent")
     if len(report.lower.witness) ** (1.0 / k) != report.lower.value:

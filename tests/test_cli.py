@@ -300,3 +300,18 @@ def test_bounds_text_output(capsys):
 def test_spec_parser_error_messages(spec, message):
     with pytest.raises(SpecParseError, match=message):
         graph_spec_parse(spec)
+
+
+@pytest.mark.parametrize("text, argv", [
+    ('{"n": 3, "edges": 5}', ["alpha", "file:{}"]),
+    ('{"n": 2, "edges": [], "labels": [1, 2]}', ["alpha", "file:{}"]),
+    ('{"field": 2, "entries": [[1]]}',
+     ["haemers", "verify", "complete:1", "--matrix", "{}"]),
+    ('{"field": null, "entries": [[1]]}',
+     ["haemers", "verify", "complete:1", "--matrix", "{}"]),
+])
+def test_malformed_json_files_exit_one(tmp_path, capsys, text, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, _, err = run_capture(capsys, [a.format(path) for a in argv])
+    assert code == 1 and err.startswith("error: ")

@@ -121,3 +121,14 @@ def test_format_dispatch_roundtrip():
         data = write_graph(G, fmt)
         H = parse_graph(data, fmt)
         assert H.adj == G.adj
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"n": 3, "edges": 5}', "'edges' must be a list"),
+    ('{"n": 2, "edges": [], "labels": [1, 2]}', "'labels' must be a list"),
+    ('{"n": true, "edges": []}', "'n' must be a positive integer"),
+    ('{"n": 2, "edges": [[0, true]]}', "bad edge entry"),
+])
+def test_json_rejects_wrong_types(doc, message):
+    with pytest.raises(GraphFormatError, match=message):
+        parse_json(doc)

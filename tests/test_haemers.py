@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shancap.graphs import complement, complete, cycle, from_edges
 from shancap.haemers import (CONVENTION, FittingError, FittingMatrix,
@@ -154,3 +156,59 @@ def test_rank_kron_multiplicative_over_gf2():
     assert {x for row in K.entries for x in row} == {0, 1}
     assert matrix_rank(K) == 8
     assert matrix_rank(kron(K, B)) == 16
+
+
+def _gauss_jordan_rank(rows, p=None):
+    """Reference rank: reduce each pivot to 1 and clear its column in every
+    other row, over Fraction (p None) or over the integers mod p."""
+    red = (lambda x: x) if p is None else (lambda x: x % p)
+    mat = [[red(Fraction(x) if p is None else x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat)):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col] if p is None else pow(mat[rank][col], -1, p)
+        mat[rank] = [red(x * inv) for x in mat[rank]]
+        for r in range(len(mat)):
+            f = mat[r][col]
+            if r != rank and f:
+                mat[r] = [red(x - f * y) for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def rank_cases(draw):
+    """A square matrix over Q or GF(p), n <= 10; half of them are products
+    L·R through an inner dimension k <= n, so rank-deficient ones are
+    common."""
+    field = draw(st.sampled_from(["Q", 2, 3, 5, 7]))
+    n = draw(st.integers(1, 10))
+    entry = (st.fractions(-4, 4, max_denominator=3) if field == "Q"
+             else st.integers(0, field - 1))
+
+    def matrix(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        return fitting_matrix(matrix(n, n), field)
+    k = draw(st.integers(0, n))
+    L, R = matrix(n, k), matrix(k, n)
+    return fitting_matrix([[sum((L[i][t] * R[t][j] for t in range(k)), 0)
+                            for j in range(n)] for i in range(n)], field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_cases())
+def test_rank_matches_gauss_jordan(B):
+    p = None if B.field == "Q" else B.field
+    assert matrix_rank(B) == _gauss_jordan_rank(B.entries, p)
+
+
+@pytest.mark.parametrize("field", ["2", "null", "[3]"])
+def test_json_field_must_be_a_string(field):
+    with pytest.raises(FittingError, match="field must be a string"):
+        fitting_from_json(f'{{"field": {field}, "entries": [[1]]}}')

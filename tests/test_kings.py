@@ -1,7 +1,10 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shancap.graphs import cycle, strong_power
 from shancap.kings import (Board, Placement, PlacementError,
@@ -180,3 +183,53 @@ def test_exact_kings_under_a_tiny_node_budget():
     assert verify_placement(res.placement) == (True, None)
     assert res.count >= 30  # the heuristic incumbent survives the cut
     assert res.upper_bound >= res.count
+
+
+def _brute_canonical(pl):
+    """Smallest sorted translate over all p^d shifts."""
+    p, d = pl.board.p, pl.board.d
+    return min(tuple(sorted(tuple((c + s) % p for c, s in zip(cell, shift))
+                            for cell in pl.cells))
+               for shift in itertools.product(range(p), repeat=d))
+
+
+@st.composite
+def placements(draw):
+    """Any set of distinct cells (not only packings) on a board with
+    p <= 9 and d <= 3, the empty set included."""
+    p, d = draw(st.integers(3, 9)), draw(st.integers(1, 3))
+    cell = st.tuples(*[st.integers(0, p - 1)] * d)
+    return Placement(Board(p, d),
+                     tuple(draw(st.lists(cell, max_size=8, unique=True))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(placements())
+def test_canonical_placement_matches_all_shifts(pl):
+    canon = canonical_placement(pl)
+    assert canon.board == pl.board
+    assert canon.cells == _brute_canonical(pl)
+
+
+@pytest.mark.parametrize("floors, message", [
+    ((), "need at least one floor"),
+    ((0, 7), "out of range"),
+    ((0, 2, 4), "floors 0 and 4 are adjacent mod 5"),
+    ((1, 2), "floors 1 and 2 are adjacent mod 5"),
+])
+def test_layered_floor_errors(floors, message):
+    base = Placement(Board(5, 2), ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3)))
+    with pytest.raises(PlacementError, match=message):
+        layered_construction(base, floors)
+
+
+@pytest.mark.parametrize("doc", [
+    '{"p": 5, "d": 2, "cells": [[0, 0.7]]}',
+    '{"p": 5.5, "d": 2, "cells": []}',
+    '{"p": 5, "d": true, "cells": []}',
+    '{"p": 5, "d": 2, "cells": [["0", "2"]]}',
+    '{"p": 5, "d": 2, "cells": 3}',
+])
+def test_placement_json_rejects_non_integers(doc):
+    with pytest.raises(PlacementError):
+        placement_from_json(doc)

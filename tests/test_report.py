@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from shancap.graphs import cycle, from_edges
 from shancap.haemers import adjacency_certificate, fitting_matrix
 from shancap.kings import Board, Placement, exact_max_kings, layered_construction
-from shancap.report import (CertificateRejected, combine_external_certificate,
+from shancap.report import (CertificateRejected, ReportError,
+                            combine_external_certificate,
                             compute_bounds, lockin_scan, render_lockin,
                             render_report, report_to_dict, report_to_json,
                             verify_report)
@@ -185,3 +187,11 @@ def test_closed_interval_keeps_theta_unrounded():
     assert rep.upper.source == "theta"
     assert rep.lower.value == 4
     assert rep.upper.value - rep.lower.value < 1e-6
+
+
+def test_verify_report_rejects_a_witness_cell_off_the_power():
+    rep = compute_bounds(cycle(5), max_power=2, cfg=CFG, graph_desc="cycle:5")
+    bad = replace(rep, lower=replace(
+        rep.lower, witness=rep.lower.witness[:-1] + ((0, 9),)))
+    with pytest.raises(ReportError, match=r"\(0, 9\) is not a vertex"):
+        verify_report(bad)
