@@ -21,9 +21,8 @@ from .haemers import fitting_from_json, haemers_certificate, verify_fitting
 from .kings import (Board, canonical_placement, capped_result,
                     exact_max_kings, heuristic_max_kings,
                     layered_construction, placement_from_json, render_board)
-from .report import (combine_external_certificate, compute_bounds,
-                     lockin_to_dict, lockin_scan, render_lockin,
-                     render_report, report_to_json)
+from .report import (compute_bounds, lockin_to_dict, lockin_scan,
+                     render_lockin, render_report, report_to_dict)
 from .solvers import (SolverConfig, clique_cover_number, clique_number,
                       max_clique, max_independent_set)
 from .theta import lovasz_theta
@@ -98,7 +97,7 @@ def graph_spec_parse(spec, vertex_limit=DEFAULT_VERTEX_LIMIT):
             head = head.strip()
             if head == "file":
                 try:
-                    return graphio.load_graph(arg.strip())
+                    return graphio.load_graph(arg.strip(), vertex_limit)
                 except OSError as exc:
                     fail(f"cannot read graph file ({exc})", arg)
             if head in ("cycle", "path", "complete", "empty"):
@@ -106,7 +105,7 @@ def graph_spec_parse(spec, vertex_limit=DEFAULT_VERTEX_LIMIT):
                     n = int(arg)
                 except ValueError:
                     fail("size must be an integer", arg)
-                return generate(head, n)
+                return generate(head, n, vertex_limit)
             fail("unknown generator", head)
         fail("unrecognized token", s)
 
@@ -406,10 +405,7 @@ def _dispatch(args):
                              graph_desc=spec, vertex_limit=args.vertex_limit)
         degraded = not (rep.lower.proven and
                         all(r.exact for r in rep.table))
-        if args.json:
-            print(report_to_json(rep))
-        else:
-            print(render_report(rep), end="")
+        _emit(args, report_to_dict(rep), render_report(rep))
 
     elif verb == "lockin":
         G, spec = _graph_arg(args)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 
-from .graphs import Graph, GraphError, from_edges
+from .graphs import (DEFAULT_VERTEX_LIMIT, GraphError, check_vertex_limit,
+                     from_edges)
 
 
 class GraphFormatError(GraphError):
@@ -51,7 +52,7 @@ def write_graph6(G):
     return bytes(data)
 
 
-def parse_graph6(data):
+def parse_graph6(data, vertex_limit=DEFAULT_VERTEX_LIMIT):
     if isinstance(data, str):
         data = data.encode("ascii")
     data = data.strip()
@@ -89,6 +90,7 @@ def parse_graph6(data):
                 n = (n << 6) | (c - 63)
     if n == 0:
         raise GraphFormatError("graph6 with zero vertices", offset=0)
+    check_vertex_limit(n, vertex_limit, "graph6 graph")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = take(nbytes, "adjacency bits")
@@ -122,7 +124,7 @@ def write_dimacs(G):
     return "\n".join(lines) + "\n"
 
 
-def parse_dimacs(text):
+def parse_dimacs(text, vertex_limit=DEFAULT_VERTEX_LIMIT):
     if isinstance(text, bytes):
         text = text.decode("ascii")
     n = None
@@ -147,6 +149,7 @@ def parse_dimacs(text):
                 raise GraphFormatError("non-integer header fields", offset=offset)
             if n < 1 or declared_m < 0:
                 raise GraphFormatError("header out of range", offset=offset)
+            check_vertex_limit(n, vertex_limit, "DIMACS graph")
         elif line.startswith("e"):
             if n is None:
                 raise GraphFormatError("edge line before header", offset=offset)
@@ -186,7 +189,7 @@ def write_json(G):
     return json.dumps(doc, sort_keys=True)
 
 
-def parse_json(text):
+def parse_json(text, vertex_limit=DEFAULT_VERTEX_LIMIT):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -196,6 +199,7 @@ def parse_json(text):
     n = doc["n"]
     if type(n) is not int or n < 1:
         raise GraphFormatError("'n' must be a positive integer")
+    check_vertex_limit(n, vertex_limit, "JSON graph")
     if not isinstance(doc["edges"], list):
         raise GraphFormatError("'edges' must be a list")
     edges = []
@@ -232,13 +236,15 @@ def write_graph(G, fmt):
     raise GraphFormatError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 
 
-def parse_graph(data, fmt):
+def parse_graph(data, fmt, vertex_limit=DEFAULT_VERTEX_LIMIT):
+    """Parse ``data`` in ``fmt``; a graph declaring more than
+    ``vertex_limit`` vertices is refused before it is built."""
     if fmt == "graph6":
-        return parse_graph6(data)
+        return parse_graph6(data, vertex_limit)
     if fmt == "dimacs":
-        return parse_dimacs(data)
+        return parse_dimacs(data, vertex_limit)
     if fmt == "json":
-        return parse_json(data)
+        return parse_json(data, vertex_limit)
     raise GraphFormatError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 
 
@@ -258,10 +264,10 @@ def sniff_format(path, data):
     return "graph6"
 
 
-def load_graph(path):
+def load_graph(path, vertex_limit=DEFAULT_VERTEX_LIMIT):
     with open(path, "rb") as fh:
         data = fh.read()
     fmt = sniff_format(path, data)
-    if fmt == "graph6":
-        return parse_graph(data, fmt)
-    return parse_graph(data.decode("utf-8"), fmt)
+    if fmt != "graph6":
+        data = data.decode("utf-8")
+    return parse_graph(data, fmt, vertex_limit)

@@ -142,10 +142,11 @@ class ProductIndex:
 # -- generators ----------------------------------------------------------
 
 
-def generate(kind, n):
+def generate(kind, n, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Standard graph families: cycle, path, complete, empty."""
     if n < 1:
         raise GraphError("n must be >= 1")
+    check_vertex_limit(n, vertex_limit, kind)
     if kind == "cycle":
         if n < 3:
             raise GraphError("cycle needs n >= 3")
@@ -185,10 +186,12 @@ def complement(G):
     return Graph(G.n, rows, G.labels)
 
 
-def _check_limit(size, vertex_limit):
+def check_vertex_limit(size, vertex_limit, what="product"):
+    """Raise VertexLimitError before a graph of ``size`` vertices is built
+    when that exceeds ``vertex_limit``."""
     if size > vertex_limit:
         raise VertexLimitError(
-            f"product would have {size} vertices (> limit {vertex_limit}); "
+            f"{what} would have {size} vertices (> limit {vertex_limit}); "
             "pass a larger vertex_limit to override"
         )
 
@@ -203,7 +206,7 @@ def strong_product(G, H, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """(a,b)~(c,d) iff each coordinate is equal or adjacent and the pairs
     differ."""
     n = G.n * H.n
-    _check_limit(n, vertex_limit)
+    check_vertex_limit(n, vertex_limit)
     nH = H.n
     # reflexive closure rows of both factors
     rg = [G.adj[a] | (1 << a) for a in range(G.n)]
@@ -222,7 +225,7 @@ def strong_product(G, H, vertex_limit=DEFAULT_VERTEX_LIMIT):
 def conormal_product(G, H, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """(a,b)~(c,d) iff adjacent in the first or in the second coordinate."""
     n = G.n * H.n
-    _check_limit(n, vertex_limit)
+    check_vertex_limit(n, vertex_limit)
     nH = H.n
     all_h = (1 << nH) - 1
     col = 0  # every block gets H-adjacency of b
@@ -247,7 +250,7 @@ def strong_power(G, k, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Iterated strong product; labels are flat k-digit coordinates."""
     if k < 1:
         raise GraphError("power k must be >= 1")
-    _check_limit(G.n**k, vertex_limit)
+    check_vertex_limit(G.n**k, vertex_limit)
     base = G if G.labels is not None else Graph(
         G.n, G.adj, tuple((v,) for v in range(G.n))
     )
@@ -259,7 +262,7 @@ def strong_power(G, k, vertex_limit=DEFAULT_VERTEX_LIMIT):
 
 def disjoint_union(G, H, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Block-diagonal sum; alpha adds, omega takes the max."""
-    _check_limit(G.n + H.n, vertex_limit)
+    check_vertex_limit(G.n + H.n, vertex_limit)
     rows = list(G.adj) + [row << G.n for row in H.adj]
     return Graph(G.n + H.n, tuple(rows), None)
 

@@ -15,6 +15,7 @@ fraction-free (Bareiss) elimination.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -30,6 +31,12 @@ def _is_prime(p):
     return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
+def _check_field(field):
+    if field != "Q" and not (isinstance(field, int) and _is_prime(field)):
+        raise FittingError(f"field must be 'Q' or a prime modulus, "
+                           f"not {field!r}")
+
+
 @dataclass(frozen=True)
 class FittingMatrix:
     entries: tuple  # tuple of row tuples; Fraction over Q, int over GF(p)
@@ -39,11 +46,9 @@ class FittingMatrix:
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise FittingError("matrix must be square and nonempty")
+        _check_field(self.field)
         if self.field != "Q":
             p = self.field
-            if not (isinstance(p, int) and _is_prime(p)):
-                raise FittingError(f"field must be 'Q' or a prime modulus, "
-                                   f"not {p!r}")
             for row in self.entries:
                 for x in row:
                     if not isinstance(x, int) or not 0 <= x < p:
@@ -54,13 +59,31 @@ class FittingMatrix:
         return len(self.entries)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # as str(Fraction) writes
+
+
+def _entry(x, field):
+    """One entry, read exactly or rejected: an int (not a bool) over either
+    field, reduced mod p over GF(p); over Q also a Fraction or a "p/q"
+    string.  A float or a bool would be read as another number."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x) if field == "Q" else x % field
+    if field == "Q" and (isinstance(x, Fraction) or
+                         isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        return Fraction(x)
+    kinds = "an int, a Fraction or a 'p/q' string" if field == "Q" else "an int"
+    raise FittingError(f"entry {x!r} is not {kinds}")
+
+
 def fitting_matrix(rows, field="Q"):
-    if field == "Q":
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    else:
-        p = field
-        entries = tuple(tuple(int(x) % p for x in row) for row in rows)
-    return FittingMatrix(entries, field)
+    """A ``FittingMatrix`` over ``field`` from a list of rows; see ``_entry``
+    for the entries it accepts."""
+    _check_field(field)  # before any entry is reduced mod the field
+    rows = tuple(rows)
+    if any(not isinstance(row, (list, tuple)) for row in rows):
+        raise FittingError("matrix rows must be lists")
+    return FittingMatrix(tuple(tuple(_entry(x, field) for x in row)
+                               for row in rows), field)
 
 
 @dataclass(frozen=True)

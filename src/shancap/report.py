@@ -31,8 +31,7 @@ from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, VertexLimitError, cycle,
                      strong_power)
 from .haemers import FittingError, FittingMatrix, haemers_certificate
 from .kings import Board, Placement, verify_placement
-from .solvers import (SolverConfig, heuristic_independent_set,
-                      is_independent_set, max_independent_set)
+from .solvers import SolverConfig, is_independent_set, max_independent_set
 from .theta import (CertificateError, ThetaBracket, lovasz_theta,
                     verify_dual_certificate)
 from .umbrella import DensityUmbrella, VectorUmbrella, verify_umbrella
@@ -111,21 +110,16 @@ def _upper_display(value):
 def _power_row(G, k, cfg, vertex_limit):
     Gk = strong_power(G, k, vertex_limit=vertex_limit)
     res = max_independent_set(Gk, cfg)
-    best = res.vertices
-    exact = res.proven_optimal
-    if not exact:
-        alt = heuristic_independent_set(Gk, cfg)
-        if len(alt.vertices) > len(best):
-            best = alt.vertices
-    root = len(best) ** (1.0 / k)
-    witness = tuple(Gk.label_of(v) for v in best)  # coordinate tuples
-    return PowerRow(k, len(best), root, exact, witness)
+    size = len(res.vertices)
+    witness = tuple(Gk.label_of(v) for v in res.vertices)  # coordinate tuples
+    return PowerRow(k, size, size ** (1.0 / k), res.proven_optimal, witness)
 
 
 def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                    vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Certified interval around the capacity of G, with per-power table.
-    Each power's search and theta each run under ``cfg.time_budget``."""
+    One seeded ``max_independent_set`` search per power, and theta, each
+    run under ``cfg.time_budget``."""
     cfg = cfg or SolverConfig()
     table = []
     provenance = []

@@ -14,6 +14,8 @@ lowest id first is then peeling the engine's top bit first, which
 Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
 Program. 126, 2011) runs in the same loop: a branched vertex is discarded
 together with its orbit.
+``max_independent_set`` runs one search, seeded by the larger of the
+min-degree greedy set and the local search ``heuristic_independent_set``.
 Budgets degrade a search to "incumbent + bound" instead of failing.  Every
 exact search here (and the colouring backtrack of ``clique_cover_number``)
 ticks one ``_Budget`` per node, which checks the node count and the clock:
@@ -35,6 +37,7 @@ DEFAULT_CLIQUE_CAP = 2000
 logger = logging.getLogger(__name__)
 
 _ORDERINGS = ("degree", "degeneracy", "label")
+_RESTARTS = 10
 
 
 class SolverError(ValueError):
@@ -326,7 +329,10 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
 
 def max_independent_set(G, cfg=None):
     """Exact alpha(G) within budget; otherwise the best incumbent with the
-    best proven upper bound and proven_optimal=False."""
+    best proven upper bound and proven_optimal=False.  The search starts
+    from the larger of the greedy set and the local search; a larger seed
+    only prunes more (the search visits a subset of the same nodes, in the
+    same order), so the result is never smaller than either seed."""
     cfg = cfg or SolverConfig()
     order = _vertex_order(G, cfg.ordering)
     # relabel so the engine's peeling priority follows the requested ordering
@@ -336,11 +342,8 @@ def max_independent_set(G, cfg=None):
         rows[pos[u]] |= 1 << pos[v]
         rows[pos[v]] |= 1 << pos[u]
     Gr = Graph(G.n, tuple(rows))
-    seed = _greedy_independent(Gr)
-    if G.n > 40:  # a stronger incumbent pays for itself on larger graphs
-        local = heuristic_independent_set(G, cfg, restarts=6)
-        if len(local.vertices) > len(seed):
-            seed = [pos[v] for v in local.vertices]
+    local = [pos[v] for v in heuristic_independent_set(G, cfg).vertices]
+    seed = max(_greedy_independent(Gr), local, key=len)  # greedy on ties
     verts, proven, upper, _ = _run_engine(Gr, cfg, incumbent=seed)
     back = tuple(sorted(order[v] for v in verts))
     result = IndependentSet(back, proven, upper)
@@ -361,17 +364,17 @@ def _greedy_independent(G):
 
 
 def max_clique(G, cfg=None):
-    """Largest clique as an IndependentSet of the complement, mapped back."""
-    res = max_independent_set(complement(G), cfg)
-    return IndependentSet(res.vertices, res.proven_optimal, res.upper_bound)
+    """Largest clique: a maximum independent set of the complement."""
+    return max_independent_set(complement(G), cfg)
 
 
 def clique_number(G, cfg=None):
     return len(max_clique(G, cfg).vertices)
 
 
-def heuristic_independent_set(G, cfg=None, restarts=10):
-    """Randomized greedy + (1,2)-swap local search; deterministic per seed."""
+def heuristic_independent_set(G, cfg=None):
+    """Randomized greedy + (1,2)-swap local search from ``_RESTARTS``
+    shuffled orders; deterministic per seed."""
     cfg = cfg or SolverConfig()
     rng = random.Random(cfg.seed)
     n = G.n
@@ -379,7 +382,7 @@ def heuristic_independent_set(G, cfg=None, restarts=10):
     full = (1 << n) - 1
     nonadj_closed = [~(adj[v] | (1 << v)) & full for v in range(n)]
     best = ()
-    for _ in range(max(1, restarts)):
+    for _ in range(_RESTARTS):
         order = list(range(n))
         rng.shuffle(order)
         sol = []

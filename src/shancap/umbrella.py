@@ -312,7 +312,9 @@ def umbrella_from_json(text):
     try:
         kind = {"vector": VectorUmbrella, "density": DensityUmbrella}.get(doc["kind"])
         if kind is not None:
-            return kind(int(doc["dim"]), np.array(doc["handle"], dtype=float),
+            if type(doc["dim"]) is not int:
+                raise ValueError(f"dim must be an integer, not {doc['dim']!r}")
+            return kind(doc["dim"], np.array(doc["handle"], dtype=float),
                         np.array(doc["states"], dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise UmbrellaError(f"malformed umbrella JSON: {exc}")

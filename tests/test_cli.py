@@ -315,3 +315,19 @@ def test_malformed_json_files_exit_one(tmp_path, capsys, text, argv):
     path.write_text(text)
     code, _, err = run_capture(capsys, [a.format(path) for a in argv])
     assert code == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec, body", [
+    ("cycle:5000", None),
+    ("file:{path}", '{"n": 5000, "edges": []}'),
+    ("file:{path}", "p edge 5000 0\n"),
+])
+def test_gen_honours_vertex_limit_on_every_graph(capsys, tmp_path, spec, body):
+    path = tmp_path / "g.txt"
+    if body is not None:
+        path.write_text(body)
+    code, out, err = run_capture(
+        capsys, ["gen", "--format", "dimacs", "--vertex-limit", "1000",
+                 spec.format(path=path)])
+    assert code == 1 and not out
+    assert "5000 vertices (> limit 1000)" in err

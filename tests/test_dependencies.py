@@ -1,0 +1,34 @@
+"""The package imports nothing at run time beyond the standard library,
+numpy and itself (scipy, networkx and sympy may be installed, but a
+user of shancap must not need them)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import shancap
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "shancap"}
+SOURCES = sorted(Path(shancap.__file__).parent.glob("*.py"))
+
+
+def _top_level_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_sources_are_found():
+    assert {p.name for p in SOURCES} >= {"solvers.py", "report.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_and_itself(path):
+    stray = [(line, name) for line, name in _top_level_imports(path)
+             if name not in ALLOWED]
+    assert not stray, f"{path.name} imports {stray}"

@@ -5,7 +5,8 @@ import pytest
 from shancap.graphio import (GraphFormatError, parse_dimacs, parse_graph,
                              parse_graph6, parse_json, write_dimacs,
                              write_graph, write_graph6, write_json)
-from shancap.graphs import complete, cycle, from_edges, path, strong_product
+from shancap.graphs import (VertexLimitError, complete, cycle, from_edges, path,
+                            strong_product)
 
 
 def _reference_graph6(G):
@@ -132,3 +133,12 @@ def test_format_dispatch_roundtrip():
 def test_json_rejects_wrong_types(doc, message):
     with pytest.raises(GraphFormatError, match=message):
         parse_json(doc)
+
+
+def test_parsers_refuse_graphs_over_the_vertex_limit():
+    G = cycle(7)
+    for fmt in ("graph6", "dimacs", "json"):
+        data = write_graph(G, fmt)
+        assert parse_graph(data, fmt, vertex_limit=7).adj == G.adj
+        with pytest.raises(VertexLimitError, match="7 vertices"):
+            parse_graph(data, fmt, vertex_limit=6)

@@ -212,3 +212,18 @@ def test_rank_matches_gauss_jordan(B):
 def test_json_field_must_be_a_string(field):
     with pytest.raises(FittingError, match="field must be a string"):
         fitting_from_json(f'{{"field": {field}, "entries": [[1]]}}')
+
+
+@pytest.mark.parametrize("field, entries, message", [
+    ("GF(3)", "[[1.9, 0], [0, 1]]", "entry 1.9 is not an int"),
+    ("GF(3)", "[[1, 0], [0, true]]", "entry True is not an int"),
+    ("Q", "[[0.1]]", "entry 0.1 is not an int, a Fraction"),
+    ("Q", '[["0.1"]]', "entry '0.1' is not an int, a Fraction"),
+    ("Q", '[["1/0"]]', "entry '1/0' is not an int, a Fraction"),
+    ("Q", "[[true]]", "entry True is not an int, a Fraction"),
+    ("Q", '["1"]', "rows must be lists"),
+    ("GF(0)", "[[1]]", "prime modulus, not 0"),
+])
+def test_json_rejects_what_it_cannot_read_exactly(field, entries, message):
+    with pytest.raises(FittingError, match=message):
+        fitting_from_json(f'{{"field": "{field}", "entries": {entries}}}')

@@ -195,3 +195,11 @@ def test_verify_report_rejects_a_witness_cell_off_the_power():
         rep.lower, witness=rep.lower.witness[:-1] + ((0, 9),)))
     with pytest.raises(ReportError, match=r"\(0, 9\) is not a vertex"):
         verify_report(bad)
+
+
+def test_heptagon_cube_row_under_the_benchmark_budget():
+    # within 150k nodes the search improves on neither seed of C7^3: the
+    # greedy set has 27 vertices and the local search's ten runs find 30
+    cfg = SolverConfig(time_budget=30, node_budget=150_000, seed=0)
+    row = compute_bounds(cycle(7), 3, cfg).table[2]
+    assert row.k == 3 and row.alpha_best == len(row.witness) >= 30

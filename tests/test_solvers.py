@@ -3,6 +3,8 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shancap.graphs import (complement, complete, cycle, disjoint_union,
                             empty, from_edges, strong_power, strong_product)
@@ -226,3 +228,24 @@ def test_config_rejects_a_nan_budget():
     # nan <= 0 is False, so only ``not budget > 0`` catches a NaN
     with pytest.raises(SolverError):
         SolverConfig(time_budget=float("nan"))
+
+
+@st.composite
+def budgeted_graphs(draw):
+    """A G(n, p) with n <= 60 and a config whose node budget may be 1."""
+    n = draw(st.integers(1, 60))
+    p = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9]))
+    G = _random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
+    cfg = SolverConfig(node_budget=draw(st.integers(1, 2000)),
+                       seed=draw(st.integers(0, 5)))
+    return G, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(budgeted_graphs())
+def test_search_never_returns_less_than_its_local_search(case):
+    # the search is seeded by the local search, so no budget leaves it below
+    G, cfg = case
+    res = max_independent_set(G, cfg)
+    assert len(res.vertices) >= len(heuristic_independent_set(G, cfg).vertices)
+    assert len(res.vertices) <= res.upper_bound

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -258,3 +259,11 @@ def test_tensor_of_vector_and_density_umbrellas():
         rep = verify_umbrella(t, G)
         assert rep.valid
         assert 5.0 <= rep.value < 5.0 + 1e-9
+
+
+@pytest.mark.parametrize("dim", [3.7, "3", True])
+def test_umbrella_json_dim_must_be_an_integer(dim):
+    doc = json.loads(umbrella_to_json(odd_cycle_umbrella(5)))
+    doc["dim"] = dim
+    with pytest.raises(UmbrellaError, match="dim must be an integer"):
+        umbrella_from_json(json.dumps(doc))
