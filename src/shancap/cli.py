@@ -23,8 +23,8 @@ from .kings import (Board, canonical_placement, capped_result,
                     layered_construction, placement_from_json, render_board)
 from .report import (compute_bounds, lockin_to_dict, lockin_scan,
                      render_lockin, render_report, report_to_dict)
-from .solvers import (SolverConfig, clique_cover_number, clique_number,
-                      max_clique, max_independent_set)
+from .solvers import (SolverConfig, clique_cover_number, max_clique,
+                      max_independent_set)
 from .theta import lovasz_theta
 from .umbrella import (odd_cycle_umbrella, tensor_umbrella, umbrella_from_json,
                        umbrella_to_json, verify_umbrella)

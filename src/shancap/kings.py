@@ -225,20 +225,26 @@ def heuristic_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
 
     The upper bound is the θ cap ⌊θ(C_p)^d⌋, and the result is proven
     optimal when the packing meets it."""
-    cfg = cfg or SolverConfig()
+    return capped_result(
+        _heuristic_placement(board, cfg or SolverConfig(), vertex_limit))
+
+
+def _heuristic_placement(board, cfg, vertex_limit, G=None):
+    """The packing of ``heuristic_max_kings``.  ``G``, when given, is the
+    king graph of ``board`` itself, which is then not built again."""
     p = board.p
     best = {1: _floor_packing(p)}
     for k in range(2, board.d + 1):
         sub = Board(p, k)
-        G = king_graph(sub, vertex_limit)
-        found = heuristic_independent_set(G, cfg)
-        pl = Placement(sub, tuple(G.labels[v] for v in found.vertices))
+        Gk = king_graph(sub, vertex_limit) if G is None or k < board.d else G
+        found = heuristic_independent_set(Gk, cfg)
+        pl = Placement(sub, tuple(Gk.labels[v] for v in found.vertices))
         for a in range(1, k // 2 + 1):
             prod = product_placement(best[k - a], best[a])
             if len(prod) > len(pl):
                 pl = prod
         best[k] = canonical_placement(pl)
-    return capped_result(best[board.d])
+    return best[board.d]
 
 
 def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
@@ -256,7 +262,7 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     cfg = cfg or SolverConfig()
     G = king_graph(board, vertex_limit)
     idx = board.index
-    incumbent = heuristic_max_kings(board, cfg, vertex_limit).placement
+    incumbent = _heuristic_placement(board, cfg, vertex_limit, G)
     # canonical, so it contains the origin and seeds the forced search
     incumbent_ids = tuple(idx.encode(c) for c in incumbent.cells)
     origin = idx.encode((0,) * board.d)

@@ -11,6 +11,14 @@ left cannot beat the incumbent.  The engine works on the caller's labels
 reversed (caller vertex v is engine bit n - 1 - v): peeling the caller's
 lowest id first is then peeling the engine's top bit first, which
 ``int.bit_length`` reads directly, with no negation and no mask isolation.
+A child inherits the front of its parent's cover: when a vertex set R
+leaves the candidates, every class before the first one meeting R is
+still a class of the new greedy cover, in the same position, because each
+of its peels takes the same vertices from extension sets that only lost R
+(incremental colouring in the spirit of IncMaxCLQ; Li, Fang & Xu, AAAI
+2013).  Branching on b removes N[b], so the child peels only from the
+first class meeting N(b) on.  The covers are the ones peeled from
+scratch, so the search is the same node for node.
 Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
 Program. 126, 2011) runs in the same loop: a branched vertex is discarded
 together with its orbit.
@@ -177,9 +185,15 @@ class _MISEngine:
     increasing id order; callers relabel for other priorities), then
     branches on the lowest bit of the last class: once size + the number
     of classes left cannot beat the incumbent the whole remaining node is
-    cut.  The tables are indexed by ``bit_length``: entry b describes
+    cut.  A child's cover starts from its parent's classes up to the first
+    one meeting N(b), and the orbital level's re-cover from its own up to
+    the first one meeting the discarded orbit (see ``cover``).  Both equal
+    the covers peeled from scratch, so the search is the same node for
+    node.  The tables are indexed by ``bit_length``: entry b describes
     engine bit b - 1, so a peeled top bit costs one ``bit_length`` and two
-    table reads.  ``cur`` and ``best_set`` hold such indices b.
+    table reads.  ``cur`` and ``best_set`` hold such indices b;
+    ``inherited`` and ``classes`` count the cover classes kept from an
+    earlier cover and all cover classes.
     """
 
     def __init__(self, rows, cfg, cap=None):
@@ -195,6 +209,8 @@ class _MISEngine:
         self.cur = []
         self.budget = _Budget(cfg.node_budget, cfg.time_budget)
         self.cap = n + 1 if cap is None else cap  # no set reaches n + 1
+        self.inherited = 0
+        self.classes = 0
 
     def seed_incumbent(self, vertices):
         if len(vertices) > self.best:
@@ -209,16 +225,29 @@ class _MISEngine:
         if size >= self.cap:
             raise _CapReached
 
-    def cover(self, cand):
+    def cover(self, cand, prior=(), gone=0):
         """Greedy clique cover of cand as a list of class masks, each class
         peeled from its top bit down.  The first k classes hold at most k
-        independent vertices, which is the pruning bound."""
+        independent vertices, which is the pruning bound.
+
+        ``prior`` may give the greedy cover of a set P with cand = P - gone.
+        Its classes before the first one meeting ``gone`` are then classes
+        of this cover too, in the same positions: every vertex their peels
+        took is still in cand, and every extension set only lost ``gone``,
+        so each peel repeats itself vertex for vertex.  Those classes are
+        kept, and only the rest of cand is peeled."""
         # hot path: the bit walk is written out instead of calling ``bits``;
         # ext stays inside rem because no row contains its own vertex
         adj = self.adj
         bit = self.bit
         classes = []
         rem = cand
+        for cls in prior:
+            if cls & gone:
+                break
+            classes.append(cls)
+            rem ^= cls
+        self.inherited += len(classes)
         while rem:
             cls = 0
             ext = rem
@@ -228,16 +257,19 @@ class _MISEngine:
                 ext &= adj[b]
             rem ^= cls
             classes.append(cls)
+        self.classes += len(classes)
         return classes
 
-    def expand(self, cand, size, orbit=None):
-        """Search below the current set ``self.cur`` of ``size`` vertices.
+    def expand(self, cand, size, orbit=None, prior=(), gone=0):
+        """Search below the current set ``self.cur`` of ``size`` vertices;
+        ``prior`` and ``gone`` pass the parent's cover on to ``cover``.
         With ``orbit`` (index b -> engine mask of its orbit under a symmetry
         of the node), a branched vertex is discarded with its whole orbit
         and the rest re-covered; the children search plainly."""
         self.budget.tick()
+        adj = self.adj
         nonadj = self.nonadj
-        classes = self.cover(cand)
+        classes = self.cover(cand, prior, gone)
         # hot path: branch on the low bit of the last class by hand
         while classes and size + len(classes) > self.best:
             last = classes.pop()
@@ -245,21 +277,24 @@ class _MISEngine:
             last ^= low
             if last:
                 classes.append(last)
+            # ``classes`` now covers cand - {low}
             b = low.bit_length()
             ncand = cand & nonadj[b]
             self.cur.append(b)
             if size + 1 > self.best:
                 self.improve(size + 1)
             if ncand:
-                self.expand(ncand, size + 1)
+                # the child's candidates are cand - {low} - N(b)
+                self.expand(ncand, size + 1, None, classes, adj[b])
             self.cur.pop()
             if orbit is None:
                 # peeling takes the top bit of each class first, so the
                 # cover of cand - {low} is the rest of ``classes``
                 cand ^= low
             else:
-                cand &= ~orbit(b)
-                classes = self.cover(cand)
+                orb = orbit(b)  # holds b
+                cand &= ~orb
+                classes = self.cover(cand, classes, orb)
 
 
 def _check_vertices(G, vertices, what):
@@ -281,7 +316,8 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
     the incumbent meets it (with 0 nodes when the seed already does) and
     caps the reported upper bound.  Every argument and result is in G's
     labels; the engine's reversed labels stay in here.  Logs one debug line
-    per search: n, nodes, seconds, nodes/s and the stop reason.
+    per search: n, nodes, seconds, nodes/s, the share of cover classes
+    kept from an earlier cover, and the stop reason.
     Returns (vertices, proven, upper_bound, nodes)."""
     _check_vertices(G, forced, "forced")
     _check_vertices(G, incumbent, "incumbent")
@@ -320,9 +356,10 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
         reason = "node budget"
     else:
         reason = "time budget"
-    logger.debug("MIS search: n=%d nodes=%d %.3f s %.0f nodes/s stop=%s",
-                 n, nodes, seconds, nodes / seconds if seconds > 0 else 0.0,
-                 reason)
+    logger.debug("MIS search: n=%d nodes=%d %.3f s %.0f nodes/s "
+                 "inherited=%.0f%% stop=%s", n, nodes, seconds,
+                 nodes / seconds if seconds > 0 else 0.0,
+                 100 * eng.inherited / max(eng.classes, 1), reason)
     upper = eng.best if proven else min(max(eng.best, root_ub), eng.cap)
     return tuple(sorted(n - b for b in eng.best_set)), proven, upper, nodes
 

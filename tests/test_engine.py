@@ -4,12 +4,16 @@ debug line."""
 
 import logging
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shancap.graphs import cycle, from_edges, strong_power
 from shancap.kings import Board, _stabilizer_orbit, king_graph
-from shancap.solvers import SolverConfig, SolverError, _run_engine
+from shancap.solvers import (SolverConfig, SolverError, _MISEngine,
+                             _run_engine)
 
 
 def _g70():
@@ -103,3 +107,94 @@ def test_one_debug_line_per_search(caplog):
     assert lines[2].endswith("stop=cap reached")
     assert lines[3].startswith("MIS search: n=49 nodes=0 ")
     assert lines[3].endswith("stop=time budget")
+
+
+def _reference_cover(eng, cand):
+    classes = []
+    rem = cand
+    while rem:
+        cls = 0
+        ext = rem
+        while ext:
+            b = ext.bit_length()
+            cls |= eng.bit[b]
+            ext &= eng.adj[b]
+        rem ^= cls
+        classes.append(cls)
+    return classes
+
+
+def _reference_expand(eng, cand, size, orbit=None):
+    """A plain reference for ``_MISEngine.expand``: every node peels its
+    cover from scratch."""
+    eng.budget.tick()
+    classes = _reference_cover(eng, cand)
+    while classes and size + len(classes) > eng.best:
+        last = classes.pop()
+        low = last & -last
+        if last ^ low:
+            classes.append(last ^ low)
+        b = low.bit_length()
+        ncand = cand & eng.nonadj[b]
+        eng.cur.append(b)
+        if size + 1 > eng.best:
+            eng.improve(size + 1)
+        if ncand:
+            _reference_expand(eng, ncand, size + 1)
+        eng.cur.pop()
+        if orbit is None:
+            cand ^= low
+        else:
+            cand &= ~orbit(b)
+            classes = _reference_cover(eng, cand)
+
+
+def _random_call(data, variant):
+    """Draw the arguments of one ``_run_engine`` call of the given variant:
+    a king board of at most 125 cells with its origin forced and its
+    orbits, or a random graph of 1-130 vertices."""
+    budget = data.draw(st.integers(1, 3000), label="node_budget")
+    cfg = SolverConfig(node_budget=budget)
+    if variant == "orbit":
+        board = Board(*data.draw(st.sampled_from(
+            [(3, 2), (5, 2), (6, 2), (7, 2), (9, 2), (11, 2), (4, 3), (5, 3)]),
+            label="board"))
+        idx = board.index
+
+        def orbit_mask(v):
+            mask = 0
+            for cell in _stabilizer_orbit(board, idx.decode(v)):
+                mask |= 1 << idx.encode(cell)
+            return mask
+
+        origin = idx.encode((0,) * board.d)
+        return king_graph(board), cfg, {"forced": (origin,),
+                                        "orbit_fn": orbit_mask}
+    n = data.draw(st.integers(1, 130), label="n")
+    density = data.draw(st.floats(0.0, 1.0), label="density")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    G = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                       if rng.random() < density])
+    # a random maximal independent set, cut short
+    order = list(range(n))
+    rng.shuffle(order)
+    indep = []
+    for v in order:
+        if not any(G.adj[v] >> u & 1 for u in indep):
+            indep.append(v)
+    kwargs = {"incumbent": tuple(indep[:rng.randrange(len(indep) + 1)])}
+    if variant == "forced":
+        kwargs["forced"] = tuple(indep[:rng.randint(1, min(3, len(indep)))])
+    elif variant == "cap":
+        kwargs["cap"] = data.draw(st.integers(1, n), label="cap")
+    return G, cfg, kwargs
+
+
+@pytest.mark.parametrize("variant", ["plain", "forced", "orbit", "cap"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_engine_matches_the_from_scratch_reference(variant, data):
+    G, cfg, kwargs = _random_call(data, variant)
+    with mock.patch.object(_MISEngine, "expand", _reference_expand):
+        expected = _run_engine(G, cfg, **kwargs)
+    assert _run_engine(G, cfg, **kwargs) == expected

@@ -45,3 +45,25 @@ def test_cover_partitions_cand_into_cliques_that_branching_can_reuse(
             classes.append(last ^ low)
         cand ^= low
         assert eng.cover(cand) == classes
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 130), density=st.floats(0.0, 1.0),
+       removed=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_cover_of_a_shrunk_set_keeps_the_classes_before_the_removed_ones(
+        n, density, removed, seed):
+    rng = random.Random(seed)
+    G = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                       if rng.random() < density])
+    eng = _MISEngine(G.adj, SolverConfig())  # G's labels as engine labels
+    cand = rng.getrandbits(n)
+    # R may reach outside cand, as N(b) and orbits do in expand
+    gone = sum(1 << v for v in range(n) if rng.random() < removed)
+    prior = eng.cover(cand)
+    k = next((i for i, cls in enumerate(prior) if cls & gone), len(prior))
+    rest = cand & ~gone
+    for cls in prior[:k]:
+        rest ^= cls
+    expected = eng.cover(cand & ~gone)
+    assert prior[:k] + eng.cover(rest) == expected
+    assert eng.cover(cand & ~gone, prior, gone) == expected
