@@ -19,6 +19,18 @@ of its peels takes the same vertices from extension sets that only lost R
 2013).  Branching on b removes N[b], so the child peels only from the
 first class meeting N(b) on.  The covers are the ones peeled from
 scratch, so the search is the same node for node.
+Repeated subtrees are replayed, the classic memo of maximum independent
+set (Robson, J. Algorithms 7, 1986): on a vertex-transitive power the
+same candidate set comes back thousands of times.  Each search keeps a
+table from (candidates, incumbent size - set size) to the node count of a
+plain subtree that ended without improving the incumbent; a child with a
+key in it charges that count to the budget instead of being searched.
+Such a subtree repeats node for node, because its covers depend only on
+its candidates and every cut and branch compares set size + classes with
+the incumbent size, which stays put in it; only an improvement reads the
+current set or the cap.  So the search, node counts included, is the one
+without the table.  The table lives for one search and is emptied when it
+reaches ``_SOLVED_LIMIT`` entries.
 Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
 Program. 126, 2011) runs in the same loop: a branched vertex is discarded
 together with its orbit.
@@ -28,7 +40,8 @@ Budgets degrade a search to "incumbent + bound" instead of failing.  Every
 exact search here (and the colouring backtrack of ``clique_cover_number``)
 ticks one ``_Budget`` per node, which checks the node count and the clock:
 ``node_budget=N`` caps it at N nodes, and it overruns ``time_budget`` by at
-most one node's work.
+most one node's work; a replayed subtree counts all its nodes at once and
+reads the clock once.
 """
 
 from __future__ import annotations
@@ -46,6 +59,9 @@ logger = logging.getLogger(__name__)
 
 _ORDERINGS = ("degree", "degeneracy", "label")
 _RESTARTS = 10
+# entries of one search's table of solved subtrees; it is emptied when
+# full, which holds it to about a megabyte
+_SOLVED_LIMIT = 8192
 
 
 class SolverError(ValueError):
@@ -65,7 +81,10 @@ class SolverConfig:
     (seconds) its wall time; both are checked on every node, so a search
     expands at most ``node_budget`` nodes and overruns ``time_budget`` by
     at most one node's work.  A search that runs out returns its incumbent
-    unproven.
+    unproven.  A subtree the MIS search replays instead of searching it
+    again counts all its nodes against ``node_budget`` (stopping at the
+    budget if it would pass it, as the nodes would have) and reads the
+    clock once, so the overrun stays at most one node's work.
     """
 
     time_budget: float = 60.0
@@ -156,6 +175,7 @@ class _Budget:
 
     def __init__(self, node_budget, time_budget):
         self.nodes = 0
+        self.charged = 0
         self.node_budget = node_budget
         self.deadline = time.monotonic() + time_budget
 
@@ -164,6 +184,19 @@ class _Budget:
             raise _BudgetExhausted
         self.nodes += 1
 
+    def charge(self, count):
+        """``count`` ticks at once, reading the clock once; ``charged``
+        sums them.  A charge that would pass the node budget stops at it
+        and raises, as the ticks would have."""
+        if time.monotonic() > self.deadline:
+            raise _BudgetExhausted
+        room = self.node_budget - self.nodes
+        if count > room:
+            self.nodes += room
+            self.charged += room
+            raise _BudgetExhausted
+        self.nodes += count
+        self.charged += count
 
 _BYTE_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
@@ -189,11 +222,18 @@ class _MISEngine:
     one meeting N(b), and the orbital level's re-cover from its own up to
     the first one meeting the discarded orbit (see ``cover``).  Both equal
     the covers peeled from scratch, so the search is the same node for
-    node.  The tables are indexed by ``bit_length``: entry b describes
-    engine bit b - 1, so a peeled top bit costs one ``bit_length`` and two
-    table reads.  ``cur`` and ``best_set`` hold such indices b;
-    ``inherited`` and ``classes`` count the cover classes kept from an
-    earlier cover and all cover classes.
+    node.  ``solved`` maps the key (best - size) << n | cand of every plain
+    subtree that ended without improving the incumbent to its node count,
+    and a child with a known key is replayed: its count is charged to the
+    budget and it is not searched (see ``expand`` for why that is exact).
+    The orbital level is never stored, nor a subtree an exception ends;
+    the table is emptied when it reaches ``_SOLVED_LIMIT`` entries, and
+    ``clears`` counts those.  The vertex tables ``bit``, ``adj`` and
+    ``nonadj`` are indexed by ``bit_length``: entry b describes engine bit
+    b - 1, so a peeled top bit costs one ``bit_length`` and two table
+    reads.  ``cur`` and ``best_set`` hold such
+    indices b; ``inherited`` and ``classes`` count the cover classes kept
+    from an earlier cover and all cover classes.
     """
 
     def __init__(self, rows, cfg, cap=None):
@@ -211,6 +251,9 @@ class _MISEngine:
         self.cap = n + 1 if cap is None else cap  # no set reaches n + 1
         self.inherited = 0
         self.classes = 0
+        self.n = n
+        self.solved = {}  # key of a plain subtree -> nodes of the subtree
+        self.clears = 0
 
     def seed_incumbent(self, vertices):
         if len(vertices) > self.best:
@@ -265,10 +308,23 @@ class _MISEngine:
         ``prior`` and ``gone`` pass the parent's cover on to ``cover``.
         With ``orbit`` (index b -> engine mask of its orbit under a symmetry
         of the node), a branched vertex is discarded with its whole orbit
-        and the rest re-covered; the children search plainly."""
-        self.budget.tick()
+        and the rest re-covered; the children search plainly.
+
+        A plain child whose key (candidates, ``best`` - size) was solved
+        before in this search, without improving the incumbent, is replayed:
+        its node count is charged to the budget and it is not searched.
+        The replay is exact: below a plain node the covers depend only on
+        the candidates (inherited covers equal fresh ones), every cut and
+        branch compares size + classes with ``best``, and only an
+        improvement reads ``cur`` or the cap, so such a subtree repeats node
+        for node as long as ``best`` stays put, which it does throughout
+        the subtree."""
+        budget = self.budget
+        budget.tick()
         adj = self.adj
         nonadj = self.nonadj
+        solved = self.solved
+        n = self.n
         classes = self.cover(cand, prior, gone)
         # hot path: branch on the low bit of the last class by hand
         while classes and size + len(classes) > self.best:
@@ -285,7 +341,20 @@ class _MISEngine:
                 self.improve(size + 1)
             if ncand:
                 # the child's candidates are cand - {low} - N(b)
-                self.expand(ncand, size + 1, None, classes, adj[b])
+                best = self.best
+                # the child's slack best - size goes above its candidates
+                key = (best - size - 1) << n | ncand
+                count = solved.get(key)
+                if count is None:
+                    start = budget.nodes
+                    self.expand(ncand, size + 1, None, classes, adj[b])
+                    if self.best == best:
+                        if len(solved) >= _SOLVED_LIMIT:
+                            solved.clear()
+                            self.clears += 1
+                        solved[key] = budget.nodes - start
+                else:
+                    budget.charge(count)
             self.cur.pop()
             if orbit is None:
                 # peeling takes the top bit of each class first, so the
@@ -316,8 +385,10 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
     the incumbent meets it (with 0 nodes when the seed already does) and
     caps the reported upper bound.  Every argument and result is in G's
     labels; the engine's reversed labels stay in here.  Logs one debug line
-    per search: n, nodes, seconds, nodes/s, the share of cover classes
-    kept from an earlier cover, and the stop reason.
+    per search: n, nodes, the nodes expanded and replayed (they sum to
+    nodes), the entries left in the table of solved subtrees and its
+    clears, seconds, expanded nodes/s, the share of cover classes kept from
+    an earlier cover, and the stop reason.
     Returns (vertices, proven, upper_bound, nodes)."""
     _check_vertices(G, forced, "forced")
     _check_vertices(G, incumbent, "incumbent")
@@ -348,6 +419,7 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
         pass
     seconds = time.monotonic() - start
     nodes = eng.budget.nodes
+    expanded = nodes - eng.budget.charged
     if eng.best >= eng.cap:
         reason = "cap reached"
     elif proven:
@@ -356,9 +428,11 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
         reason = "node budget"
     else:
         reason = "time budget"
-    logger.debug("MIS search: n=%d nodes=%d %.3f s %.0f nodes/s "
-                 "inherited=%.0f%% stop=%s", n, nodes, seconds,
-                 nodes / seconds if seconds > 0 else 0.0,
+    logger.debug("MIS search: n=%d nodes=%d expanded=%d replayed=%d "
+                 "table=%d clears=%d %.3f s %.0f nodes/s inherited=%.0f%% "
+                 "stop=%s", n, nodes, expanded, eng.budget.charged,
+                 len(eng.solved), eng.clears, seconds,
+                 expanded / seconds if seconds > 0 else 0.0,
                  100 * eng.inherited / max(eng.classes, 1), reason)
     upper = eng.best if proven else min(max(eng.best, root_ub), eng.cap)
     return tuple(sorted(n - b for b in eng.best_set)), proven, upper, nodes

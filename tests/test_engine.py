@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shancap import solvers
 from shancap.graphs import cycle, from_edges, strong_power
 from shancap.kings import Board, _stabilizer_orbit, king_graph
-from shancap.solvers import (SolverConfig, SolverError, _MISEngine,
+from shancap.solvers import (SolverConfig, SolverError, _Budget, _MISEngine,
                              _run_engine)
 
 
@@ -198,3 +199,80 @@ def test_engine_matches_the_from_scratch_reference(variant, data):
     with mock.patch.object(_MISEngine, "expand", _reference_expand):
         expected = _run_engine(G, cfg, **kwargs)
     assert _run_engine(G, cfg, **kwargs) == expected
+
+
+def _counters(caplog):
+    """expanded, replayed, table and clears of the last search's debug
+    line."""
+    line = [r.getMessage() for r in caplog.records
+            if r.name == "shancap.solvers"][-1]
+    fields = dict(f.split("=") for f in line.split() if "=" in f)
+    return tuple(int(fields[k])
+                 for k in ("expanded", "replayed", "table", "clears"))
+
+
+def test_a_budget_that_ends_inside_a_replay_stops_where_the_ticks_would(
+        caplog):
+    caplog.set_level(logging.DEBUG, logger="shancap.solvers")
+    G = strong_power(cycle(7), 2)  # 1,061 nodes, most of them replayed
+    tick, charge = _Budget.tick, _Budget.charge
+    ticks = []
+    cut = []  # budgets a replay's charge stopped part way through
+
+    def counted_tick(budget):
+        tick(budget)
+        ticks.append(budget)
+
+    def watched_charge(budget, count):
+        if 0 < budget.node_budget - budget.nodes < count:
+            cut.append(budget.node_budget)
+        charge(budget, count)
+
+    for budget in range(1, 1061, 5):
+        cfg = SolverConfig(node_budget=budget)
+        with mock.patch.object(_MISEngine, "expand", _reference_expand):
+            expected = _run_engine(G, cfg)
+        ticks.clear()
+        with mock.patch.object(_Budget, "tick", counted_tick), \
+                mock.patch.object(_Budget, "charge", watched_charge):
+            assert _run_engine(G, cfg) == expected
+        assert expected[3] == budget
+        expanded, replayed, _, _ = _counters(caplog)
+        assert (expanded, replayed) == (len(ticks), budget - len(ticks))
+    assert cut
+
+
+@pytest.mark.parametrize("variant", ["plain", "forced", "orbit", "cap"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_full_table_is_emptied_and_the_search_stays_the_same(variant, data):
+    G, cfg, kwargs = _random_call(data, variant)
+    with mock.patch.object(_MISEngine, "expand", _reference_expand):
+        expected = _run_engine(G, cfg, **kwargs)
+    expand = _MISEngine.expand
+
+    def bounded(eng, *args):
+        assert len(eng.solved) <= 4
+        return expand(eng, *args)
+
+    with mock.patch.object(solvers, "_SOLVED_LIMIT", 4), \
+            mock.patch.object(_MISEngine, "expand", bounded):
+        assert _run_engine(G, cfg, **kwargs) == expected
+
+
+def test_the_table_limit_clears_and_keeps_the_golden_search(caplog):
+    caplog.set_level(logging.DEBUG, logger="shancap.solvers")
+    with mock.patch.object(solvers, "_SOLVED_LIMIT", 4):
+        assert GOLDEN[0][0]() == GOLDEN[0][1]
+    _, replayed, entries, clears = _counters(caplog)
+    assert entries <= 4 and clears > 0 and replayed > 0
+
+
+def test_no_table_outlives_its_search(caplog):
+    caplog.set_level(logging.DEBUG, logger="shancap.solvers")
+    G = strong_power(cycle(9), 2)
+    cfg = SolverConfig(node_budget=20_000)
+    first = _run_engine(G, cfg)
+    first_counters = _counters(caplog)
+    assert _run_engine(G, cfg) == first
+    assert _counters(caplog) == first_counters
