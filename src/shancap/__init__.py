@@ -11,7 +11,8 @@ from .fractional import (FractionalWeighting, LPInfeasible, LPUnbounded,
 from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError, ProductIndex,
                      VertexLimitError, complement, complete, conormal_product,
                      cycle, disjoint_union, empty, from_edges, generate,
-                     is_isomorphic, path, strong_power, strong_product)
+                     independent_in_power, is_isomorphic, path, strong_power,
+                     strong_product)
 from .graphio import (GraphFormatError, load_graph, parse_graph, write_graph)
 from .haemers import (FittingMatrix, FittingReport, adjacency_certificate,
                       fitting_matrix, haemers_certificate,

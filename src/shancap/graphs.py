@@ -8,6 +8,7 @@ vertex of ``strong_power(G, k)`` can be read back as a k-tuple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -114,10 +115,7 @@ class ProductIndex:
 
     @property
     def size(self):
-        out = 1
-        for r in self.radices:
-            out *= r
-        return out
+        return math.prod(self.radices)
 
     def encode(self, coords):
         if len(coords) != len(self.radices):
@@ -260,6 +258,31 @@ def strong_power(G, k, vertex_limit=DEFAULT_VERTEX_LIMIT):
     )
 
 
+def independent_in_power(G, k, cells):
+    """First index pair (i, j), i < j in lexicographic order, of cells that
+    are equal or adjacent in every coordinate (repeated or adjacent in
+    G^k); None if ``cells`` is an independent set of G^k.  Reads only
+    ``G.adj``: G^k is never built."""
+    if not isinstance(k, int) or k < 1:
+        raise GraphError(f"power {k!r} is not a positive integer")
+    for cell in cells:
+        if not (isinstance(cell, tuple) and len(cell) == k and all(
+                isinstance(c, int) and 0 <= c < G.n for c in cell)):
+            raise GraphError(f"cell {cell!r} is not a vertex of G^{k}")
+    # near[t][u]: bit mask of the cells whose t-th entry is u or adjacent
+    near = [[0] * G.n for _ in range(k)]
+    for j, cell in enumerate(cells):
+        for row, c in zip(near, cell):
+            for u in bits(G.adj[c] | 1 << c):
+                row[u] |= 1 << j
+    for i, cell in enumerate(cells):
+        clash = reduce(int.__and__, (row[c] for row, c in zip(near, cell)))
+        clash >>= i + 1
+        if clash:
+            return i, i + (clash & -clash).bit_length()
+    return None
+
+
 def disjoint_union(G, H, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Block-diagonal sum; alpha adds, omega takes the max."""
     check_vertex_limit(G.n + H.n, vertex_limit)
@@ -298,12 +321,8 @@ def is_isomorphic(G, H):
         for w in range(n):
             if used[w] or degG[v] != degH[w]:
                 continue
-            ok = True
-            for u in range(v):
-                if bool(G.adj[v] >> u & 1) != bool(H.adj[w] >> mapping[u] & 1):
-                    ok = False
-                    break
-            if ok:
+            if all((G.adj[v] >> u & 1) == (H.adj[w] >> mapping[u] & 1)
+                   for u in range(v)):
                 mapping[v] = w
                 used[w] = True
                 if extend(v + 1):

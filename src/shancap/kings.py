@@ -31,9 +31,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from .graphs import DEFAULT_VERTEX_LIMIT, ProductIndex, cycle, strong_power
-from .solvers import (SolverConfig, _run_engine, heuristic_independent_set,
-                      is_independent_set)
+from .graphs import (DEFAULT_VERTEX_LIMIT, ProductIndex, cycle,
+                     independent_in_power, strong_power)
+from .solvers import SolverConfig, _run_engine, heuristic_independent_set
 from .theta import lovasz_theta
 
 
@@ -69,12 +69,12 @@ class Placement:
     def __post_init__(self):
         seen = set()
         for idx, cell in enumerate(self.cells):
-            if len(cell) != self.board.d:
-                raise PlacementError(f"cell {idx} has arity {len(cell)}, "
-                                     f"board is {self.board.d}-dimensional")
+            if not isinstance(cell, tuple) or len(cell) != self.board.d:
+                raise PlacementError(f"cell {idx} is {cell!r}, not a tuple "
+                                     f"of {self.board.d} coordinates")
             for c in cell:
-                if not 0 <= c < self.board.p:
-                    raise PlacementError(f"cell {idx} coordinate {c} out of "
+                if not (isinstance(c, int) and 0 <= c < self.board.p):
+                    raise PlacementError(f"cell {idx} coordinate {c!r} out of "
                                          f"range 0..{self.board.p - 1}")
             if cell in seen:
                 raise PlacementError(f"cell {idx} duplicates {cell}")
@@ -97,13 +97,8 @@ class KingSearchResult:
 
 def toroidal_chebyshev(a, b, p):
     """max over coordinates of the cyclic distance mod p."""
-    out = 0
-    for x, y in zip(a, b):
-        diff = abs(x - y)
-        diff = min(diff, p - diff)
-        if diff > out:
-            out = diff
-    return out
+    return max((min((x - y) % p, (y - x) % p) for x, y in zip(a, b)),
+               default=0)
 
 
 def king_graph(board, vertex_limit=DEFAULT_VERTEX_LIMIT):
@@ -114,16 +109,12 @@ def king_graph(board, vertex_limit=DEFAULT_VERTEX_LIMIT):
 
 
 def verify_placement(pl):
-    """(True, None) iff every pair of cells is at toroidal Chebyshev
-    distance >= 2; otherwise (False, first violating index pair).  Checks
-    nothing the solvers computed; pure coordinate arithmetic."""
-    cells = pl.cells
-    p = pl.board.p
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if toroidal_chebyshev(cells[i], cells[j], p) < 2:
-                return False, (i, j)
-    return True, None
+    """(True, None) iff the cells are independent in C_p^d, i.e. pairwise
+    at toroidal Chebyshev distance >= 2; otherwise (False, first violating
+    index pair).  ``independent_in_power`` on C_p's adjacency: checks
+    nothing the solvers computed."""
+    pair = independent_in_power(cycle(pl.board.p), pl.board.d, pl.cells)
+    return pair is None, pair
 
 
 @lru_cache(maxsize=None)
@@ -182,13 +173,11 @@ def layered_construction(base, floors=None):
     Floors must be pairwise at cyclic distance >= 2 so kings in different
     floors can never touch; within a floor the base packing guarantees it.
     This is ``product_placement`` with the packing ``_floor_packing(p,
-    floors)`` of the p-cycle.
+    floors)`` of the p-cycle.  The result is checked as a whole: floor 0
+    holds the base cells in order, so a clash in the base shows up there
+    at the same index pair.
     """
-    layers = _floor_packing(base.board.p, floors)
-    ok, pair = verify_placement(base)
-    if not ok:
-        raise PlacementError(f"base placement invalid at cell pair {pair}")
-    out = product_placement(base, layers)
+    out = product_placement(base, _floor_packing(base.board.p, floors))
     ok, pair = verify_placement(out)
     if not ok:
         raise PlacementError(f"layered placement invalid at cell pair {pair}")
@@ -276,8 +265,6 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     verts, proven, upper, _ = _run_engine(
         G, cfg, forced=(origin,), orbit_fn=orbit_mask, incumbent=incumbent_ids,
         cap=_theta_cap(board.p, board.d))
-    if not is_independent_set(G, verts):
-        raise PlacementError("internal error: search returned adjacent kings")
     pl = canonical_placement(Placement(board, tuple(idx.decode(v) for v in verts)))
     ok, pair = verify_placement(pl)
     if not ok:

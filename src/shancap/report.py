@@ -5,10 +5,12 @@ k-th root of the witness size); the upper bound is theta's ``hi``, unless an
 imported certificate proves less.  rho and sigma are not computed: theta <=
 rho <= sigma always holds, so neither can tighten the interval.  The theta
 bracket is computed once on the base graph; it already bounds every power
-because it multiplies.  ``certified_upper`` re-derives the bound that each
-upper certificate proves, both for imports and in ``verify_report``.
-Every reported bound carries a machine-checkable witness, and reports with
-identical seed and budget serialize byte-for-byte identically.
+because it multiplies.  Every reported bound carries a machine-checkable
+witness, and reports with identical seed and budget serialize
+byte-for-byte identically.  ``verify_report`` re-checks them all: every
+cell witness (the lower one and each table row's, whatever its method) by
+one coordinate-wise check on G's adjacency, with no G^k built, and the
+upper certificate through ``certified_upper``, which also vets imports.
 
 Upper bounds are rounded outward, never to the nearest value: the chosen
 upper value is rounded up to 6 significant digits, unless the reported
@@ -27,11 +29,12 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
 
-from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, VertexLimitError, cycle,
+from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError,
+                     VertexLimitError, cycle, independent_in_power,
                      strong_power)
 from .haemers import FittingError, FittingMatrix, haemers_certificate
-from .kings import Board, Placement, verify_placement
-from .solvers import SolverConfig, is_independent_set, max_independent_set
+from .kings import Placement
+from .solvers import SolverConfig, max_independent_set
 from .theta import (CertificateError, ThetaBracket, lovasz_theta,
                     verify_dual_certificate)
 from .umbrella import DensityUmbrella, VectorUmbrella, verify_umbrella
@@ -227,13 +230,12 @@ def combine_external_certificate(report, cert):
     G = report.graph
     if isinstance(cert, Placement):
         board = cert.board
-        ref = cycle(board.p)
-        if G.n != ref.n or G.adj != ref.adj:
+        if G.adj != cycle(board.p).adj:
             raise CertificateRejected(
                 f"placement lives on powers of a {board.p}-cycle; the report "
                 "graph differs")
-        ok, pair = verify_placement(cert)
-        if not ok:
+        pair = independent_in_power(G, board.d, cert.cells)
+        if pair is not None:
             raise CertificateRejected(f"placement invalid at cell pair {pair}")
         value = len(cert) ** (1.0 / board.d)
         if value > report.lower.value:
@@ -253,29 +255,32 @@ def combine_external_certificate(report, cert):
     return report
 
 
-def verify_report(report, vertex_limit=DEFAULT_VERTEX_LIMIT):
+def _check_witness(what, G, k, witness, size, root):
+    """ReportError unless ``witness`` is an independent set of G^k of
+    ``size`` cells whose k-th root is ``root``."""
+    try:
+        pair = independent_in_power(G, k, witness)
+    except GraphError as exc:
+        raise ReportError(f"{what} {exc}") from None
+    if pair is not None:
+        raise ReportError(f"{what} pair {pair} adjacent")
+    if size != len(witness) or root != size ** (1.0 / k):
+        raise ReportError(f"{what} does not match the stated size or root")
+
+
+def verify_report(report):
     """Re-check the witnesses independent of how the report was assembled:
-    the lower witness must be an independent set of the stated power, the
-    upper certificate must prove the stated upper value, and the pair must
-    still bracket."""
-    k = report.lower.power
-    if report.lower.method == "placement":
-        board = Board(report.graph.n, k)
-        ok, pair = verify_placement(Placement(board, report.lower.witness))
-        if not ok:
-            raise ReportError(f"lower witness pair {pair} adjacent")
-    else:
-        Gk = strong_power(report.graph, k, vertex_limit=vertex_limit)
-        ids = {Gk.label_of(v): v for v in range(Gk.n)}
-        try:
-            verts = [ids[cell] for cell in report.lower.witness]
-        except KeyError as exc:
-            raise ReportError(f"lower witness cell {exc.args[0]} is not a "
-                              f"vertex of G^{k}") from None
-        if not is_independent_set(Gk, verts):
-            raise ReportError("lower witness is not independent")
-    if len(report.lower.witness) ** (1.0 / k) != report.lower.value:
-        raise ReportError("lower bound value does not match its witness")
+    the lower witness and every table row's witness, whatever the method,
+    must be an independent set of the stated power (checked on G's own
+    adjacency; G^k is never built) that matches its stated size and root;
+    the upper certificate must prove the stated upper value; and the pair
+    must still bracket."""
+    G, lower = report.graph, report.lower
+    _check_witness("lower witness", G, lower.power, lower.witness,
+                   len(lower.witness), lower.value)
+    for r in report.table:
+        _check_witness(f"row k={r.k} witness", G, r.k, r.witness,
+                       r.alpha_best, r.root)
     _, proven = certified_upper(report.graph, report.upper.certificate)
     if proven > report.upper.value:
         raise ReportError(
