@@ -37,7 +37,10 @@ def _g6_size_bytes(n):
 def write_graph6(G):
     """Standard ASCII graph6 encoding (no >>graph6<< header)."""
     n = G.n
-    bits = [G.adj[i] >> j & 1 for j in range(1, n) for i in range(j)]
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(G.adj[i] >> j & 1)
     while len(bits) % 6:
         bits.append(0)
     data = bytearray(_g6_size_bytes(n))
@@ -101,8 +104,14 @@ def parse_graph6(data, vertex_limit=DEFAULT_VERTEX_LIMIT):
     for extra in bits[nbits:]:
         if extra:
             raise GraphFormatError("nonzero padding bits in graph6", offset=pos - 1)
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    return from_edges(n, [e for e, bit in zip(pairs, bits) if bit])
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return from_edges(n, edges)
 
 
 # -- DIMACS .col -------------------------------------------------------------
@@ -214,25 +223,29 @@ def parse_json(text, vertex_limit=DEFAULT_VERTEX_LIMIT):
 
 # -- format dispatch ----------------------------------------------------------
 
-_WRITERS = {"graph6": write_graph6, "dimacs": write_dimacs, "json": write_json}
-_PARSERS = {"graph6": parse_graph6, "dimacs": parse_dimacs, "json": parse_json}
-
-
-def _codec(table, fmt):
-    if isinstance(fmt, str) and fmt in table:
-        return table[fmt]
-    raise GraphFormatError(
-        f"unknown format {fmt!r}; expected one of {tuple(table)}")
+_FORMATS = ("graph6", "dimacs", "json")
 
 
 def write_graph(G, fmt):
-    return _codec(_WRITERS, fmt)(G)
+    if fmt == "graph6":
+        return write_graph6(G)
+    if fmt == "dimacs":
+        return write_dimacs(G)
+    if fmt == "json":
+        return write_json(G)
+    raise GraphFormatError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 
 
 def parse_graph(data, fmt, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Parse ``data`` in ``fmt``; a graph declaring more than
     ``vertex_limit`` vertices is refused before it is built."""
-    return _codec(_PARSERS, fmt)(data, vertex_limit)
+    if fmt == "graph6":
+        return parse_graph6(data, vertex_limit)
+    if fmt == "dimacs":
+        return parse_dimacs(data, vertex_limit)
+    if fmt == "json":
+        return parse_json(data, vertex_limit)
+    raise GraphFormatError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 
 
 def sniff_format(path, data):

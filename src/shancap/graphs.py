@@ -8,7 +8,6 @@ vertex of ``strong_power(G, k)`` can be read back as a k-tuple.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -115,7 +114,10 @@ class ProductIndex:
 
     @property
     def size(self):
-        return math.prod(self.radices)
+        out = 1
+        for r in self.radices:
+            out *= r
+        return out
 
     def encode(self, coords):
         if len(coords) != len(self.radices):
@@ -321,8 +323,12 @@ def is_isomorphic(G, H):
         for w in range(n):
             if used[w] or degG[v] != degH[w]:
                 continue
-            if all((G.adj[v] >> u & 1) == (H.adj[w] >> mapping[u] & 1)
-                   for u in range(v)):
+            ok = True
+            for u in range(v):
+                if bool(G.adj[v] >> u & 1) != bool(H.adj[w] >> mapping[u] & 1):
+                    ok = False
+                    break
+            if ok:
                 mapping[v] = w
                 used[w] = True
                 if extend(v + 1):

@@ -97,8 +97,13 @@ class KingSearchResult:
 
 def toroidal_chebyshev(a, b, p):
     """max over coordinates of the cyclic distance mod p."""
-    return max((min((x - y) % p, (y - x) % p) for x, y in zip(a, b)),
-               default=0)
+    out = 0
+    for x, y in zip(a, b):
+        diff = abs(x - y)
+        diff = min(diff, p - diff)
+        if diff > out:
+            out = diff
+    return out
 
 
 def king_graph(board, vertex_limit=DEFAULT_VERTEX_LIMIT):

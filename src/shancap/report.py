@@ -8,9 +8,10 @@ bracket is computed once on the base graph; it already bounds every power
 because it multiplies.  Every reported bound carries a machine-checkable
 witness, and reports with identical seed and budget serialize
 byte-for-byte identically.  ``verify_report`` re-checks them all: every
-cell witness (the lower one and each table row's, whatever its method) by
-one coordinate-wise check on G's adjacency, with no G^k built, and the
-upper certificate through ``certified_upper``, which also vets imports.
+cell witness (the lower one and each table row's, whatever its method),
+read back into G's vertices through G's labels, by one coordinate-wise
+check on G's adjacency, with no G^k built, and the upper certificate
+through ``certified_upper``, which also vets imports.
 
 Upper bounds are rounded outward, never to the nearest value: the chosen
 upper value is rounded up to 6 significant digits, unless the reported
@@ -33,7 +34,7 @@ from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError,
                      VertexLimitError, cycle, independent_in_power,
                      strong_power)
 from .haemers import FittingError, FittingMatrix, haemers_certificate
-from .kings import Placement
+from .kings import Placement, verify_placement
 from .solvers import SolverConfig, max_independent_set
 from .theta import (CertificateError, ThetaBracket, lovasz_theta,
                     verify_dual_certificate)
@@ -234,12 +235,12 @@ def combine_external_certificate(report, cert):
             raise CertificateRejected(
                 f"placement lives on powers of a {board.p}-cycle; the report "
                 "graph differs")
-        pair = independent_in_power(G, board.d, cert.cells)
-        if pair is not None:
+        ok, pair = verify_placement(cert)
+        if not ok:
             raise CertificateRejected(f"placement invalid at cell pair {pair}")
         value = len(cert) ** (1.0 / board.d)
-        if value > report.lower.value:
-            witness = tuple(cert.cells)
+        if value > report.lower.value:  # cells of G^d, named as strong_power does
+            witness = tuple(sum(map(G.label_of, cell), ()) for cell in cert.cells)
             report = replace(
                 report,
                 lower=LowerBound(value, board.d, witness, False, "placement"),
@@ -257,9 +258,27 @@ def combine_external_certificate(report, cert):
 
 def _check_witness(what, G, k, witness, size, root):
     """ReportError unless ``witness`` is an independent set of G^k of
-    ``size`` cells whose k-th root is ``root``."""
+    ``size`` cells whose k-th root is ``root``.  A cell names a vertex of
+    G^k as ``strong_power`` labels it, by the k labels of its coordinates
+    in G concatenated; it must read as such in exactly one way."""
+    ids = {G.label_of(v): v for v in range(G.n)}
+    lengths = sorted({len(label) for label in ids})
+
+    def readings(cell, k):
+        if k < 1:
+            return [()] if k == 0 and cell == () else []
+        return [(ids[cell[:m]],) + rest for m in lengths
+                if m <= len(cell) and cell[:m] in ids
+                for rest in readings(cell[m:], k - 1)]
+
+    cells = []
+    for cell in witness:
+        read = readings(cell, k) if isinstance(cell, tuple) else []
+        if len(read) != 1:
+            raise ReportError(f"{what} cell {cell!r} is not a vertex of G^{k}")
+        cells += read
     try:
-        pair = independent_in_power(G, k, witness)
+        pair = independent_in_power(G, k, cells)
     except GraphError as exc:
         raise ReportError(f"{what} {exc}") from None
     if pair is not None:
@@ -271,7 +290,8 @@ def _check_witness(what, G, k, witness, size, root):
 def verify_report(report):
     """Re-check the witnesses independent of how the report was assembled:
     the lower witness and every table row's witness, whatever the method,
-    must be an independent set of the stated power (checked on G's own
+    must be an independent set of the stated power (each cell read back
+    into G's vertices through G's labels, then checked on G's own
     adjacency; G^k is never built) that matches its stated size and root;
     the upper certificate must prove the stated upper value; and the pair
     must still bracket."""

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shancap.graphs import (DEFAULT_VERTEX_LIMIT, GraphError, cycle,
-                            from_edges, independent_in_power, strong_power)
+from shancap.graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError, cycle,
+                            from_edges, independent_in_power, strong_power,
+                            strong_product)
 from shancap.kings import Board, Placement, PlacementError, toroidal_chebyshev
-from shancap.report import LowerBound, ReportError, compute_bounds, verify_report
+from shancap.report import (LowerBound, ReportError, _check_witness,
+                            combine_external_certificate, compute_bounds,
+                            verify_report)
 from shancap.solvers import SolverConfig, is_independent_set
 
 CFG = SolverConfig(time_budget=120.0, seed=0)
@@ -134,3 +137,89 @@ def test_a_placement_holds_only_integer_coordinate_tuples(cells):
     # so verify_placement always gets cells of C_p^d and returns (ok, pair)
     with pytest.raises(PlacementError):
         Placement(Board(5, 2), cells)
+
+
+def test_verify_report_reads_cells_by_the_labels_of_a_labelled_graph():
+    # strong_product labels its vertices (a, b), so at k = 1 a witness cell
+    # is a pair of labels, and at k = 2 four of them
+    G = strong_product(cycle(5), cycle(5))
+    rep = compute_bounds(G, max_power=1, cfg=CFG, graph_desc="C5xC5")
+    assert all(len(cell) == 2 for cell in rep.lower.witness)
+    assert verify_report(rep)
+    cells = ((0, 0, 0, 0), (0, 0, 2, 2))
+    assert verify_report(replace(rep, lower=LowerBound(
+        math.sqrt(2), 2, cells, False, "heuristic"), table=()))
+    bad = replace(rep, lower=LowerBound(
+        math.sqrt(2), 2, ((0, 0, 0, 0), (0, 1, 1, 1)), False, "heuristic"))
+    with pytest.raises(ReportError, match=r"pair \(0, 1\) adjacent"):
+        verify_report(bad)
+    odd = replace(rep, lower=replace(rep.lower, witness=((0,),)))
+    with pytest.raises(ReportError, match=r"cell \(0,\) is not a vertex"):
+        verify_report(odd)
+
+
+def _permuted_path():
+    # vertex 1 is labelled (2,) and vertex 2 is labelled (1,)
+    return from_edges(3, [(0, 1), (1, 2)], labels=((0,), (2,), (1,)))
+
+
+def test_a_witness_names_vertices_by_label_not_by_id():
+    rep = compute_bounds(_permuted_path(), max_power=2, cfg=CFG,
+                         graph_desc="path")
+    assert rep.lower.witness == ((0,), (1,))  # the ends: vertices 0 and 2
+    assert verify_report(rep)
+    for method in ("heuristic", "placement"):
+        # labels (0,) and (2,) are vertices 0 and 1, which are adjacent
+        bad = replace(rep, lower=replace(rep.lower, witness=((0,), (2,)),
+                                         method=method))
+        with pytest.raises(ReportError, match=r"pair \(0, 1\) adjacent"):
+            verify_report(bad)
+    unknown = replace(rep, lower=replace(rep.lower, witness=((0,), (3,))))
+    with pytest.raises(ReportError, match=r"cell \(3,\) is not a vertex"):
+        verify_report(unknown)
+
+
+def test_an_ambiguous_cell_is_rejected():
+    # (0,) + (0, 0) and (0, 0) + (0,) both spell (0, 0, 0)
+    G = from_edges(2, [], labels=((0,), (0, 0)))
+    rep = compute_bounds(G, max_power=1, cfg=CFG, graph_desc="E2")
+    assert verify_report(rep)
+    two = replace(rep, lower=LowerBound(1.0, 2, ((0, 0, 0),), False, "x"),
+                  table=())
+    with pytest.raises(ReportError, match="is not a vertex of G\\^2"):
+        verify_report(two)
+
+
+def test_an_imported_placement_is_named_by_the_graph_labels():
+    labels = tuple((v * 3 % 5,) for v in range(5))  # C5 with relabelled cells
+    G = Graph(5, cycle(5).adj, labels)
+    rep = compute_bounds(G, max_power=1, cfg=CFG, graph_desc="C5")
+    cells = ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3))
+    out = combine_external_certificate(rep, Placement(Board(5, 2), cells))
+    assert out.lower.method == "placement"
+    assert out.lower.witness == tuple(labels[a] + labels[b] for a, b in cells)
+    assert verify_report(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_power_cells(max_n=5, max_k=2), st.randoms(use_true_random=False),
+       st.booleans())
+def test_a_labelled_witness_is_checked_on_the_vertices_it_names(case, rng,
+                                                                pairs):
+    G, k, cells = case
+    ids = list(range(G.n))
+    rng.shuffle(ids)
+    labels = tuple(divmod(i, 2) if pairs else (i,) for i in ids)
+    L = Graph(G.n, G.adj, labels)
+    Lk = strong_power(L, k)
+    witness = tuple(Lk.label_of(sum(c * G.n ** (k - 1 - t)
+                                    for t, c in enumerate(cell)))
+                    for cell in cells)
+    assert witness == tuple(sum((labels[c] for c in cell), ()) for cell in cells)
+    size = len(witness)
+    try:
+        _check_witness("w", L, k, witness, size, size ** (1.0 / k))
+        ok = True
+    except ReportError:
+        ok = False
+    assert ok == (independent_in_power(G, k, cells) is None)
