@@ -29,12 +29,12 @@ from .solvers import (CliqueCapExceeded, CliqueCover, IndependentSet,
                       enumerate_maximal_cliques, heuristic_independent_set,
                       is_clique, is_independent_set, max_clique,
                       max_independent_set)
-from .theta import (ThetaBracket, lovasz_theta, verify_dual_certificate,
-                    verify_primal_certificate)
+from .theta import ThetaBracket, lovasz_theta
 from .umbrella import (DensityUmbrella, PurifyResult, UmbrellaReport,
                        VectorUmbrella, density_from_vector,
                        odd_cycle_umbrella, purify_umbrella, purity,
                        tensor_umbrella, trivial_umbrella, umbrella_opening,
-                       umbrella_value, verify_umbrella)
+                       umbrella_value, verify_dual_certificate,
+                       verify_primal_certificate, verify_umbrella)
 
 __version__ = "0.1.0"

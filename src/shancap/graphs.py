@@ -197,9 +197,19 @@ def check_vertex_limit(size, vertex_limit, what="product"):
 
 
 def _concat_labels(G, H):
-    return tuple(
-        G.label_of(a) + H.label_of(b) for a in range(G.n) for b in range(H.n)
-    )
+    """G's label followed by H's for every product vertex; GraphError when
+    two pairs concatenate to one label, as (0,) + (0, 0) and (0, 0) + (0,)
+    do."""
+    seen = {}
+    for a in range(G.n):
+        for b in range(H.n):
+            x, y = G.label_of(a), H.label_of(b)
+            first = seen.setdefault(x + y, (x, y))
+            if first != (x, y):
+                raise GraphError(
+                    f"product labels {first[0]!r} + {first[1]!r} and "
+                    f"{x!r} + {y!r} both read {x + y!r}")
+    return tuple(seen)
 
 
 def strong_product(G, H, vertex_limit=DEFAULT_VERTEX_LIMIT):

@@ -36,9 +36,9 @@ from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError,
 from .haemers import FittingError, FittingMatrix, haemers_certificate
 from .kings import Placement, verify_placement
 from .solvers import SolverConfig, max_independent_set
-from .theta import (CertificateError, ThetaBracket, lovasz_theta,
-                    verify_dual_certificate)
-from .umbrella import DensityUmbrella, VectorUmbrella, verify_umbrella
+from .theta import ThetaBracket, lovasz_theta
+from .umbrella import (CertificateError, DensityUmbrella, VectorUmbrella,
+                       verify_dual_certificate, verify_umbrella)
 
 
 CLOSED_TOL = 1e-6  # theta's convergence width; a narrower interval is closed

@@ -69,8 +69,8 @@ class SolverError(ValueError):
 
 
 class CliqueCapExceeded(SolverError):
-    """Maximal-clique enumeration hit the cap; callers working with
-    triangle-free graphs can fall back to edge constraints instead."""
+    """Maximal-clique enumeration hit the cap: the graph has too many
+    maximal cliques for the exact rho."""
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def _min_degree(adj, alive):
 
 
 class _BudgetExhausted(Exception):
-    pass
+    """Raised with the stop reason: "node budget" or "time budget"."""
 
 
 class _CapReached(Exception):
@@ -171,7 +171,8 @@ class _CapReached(Exception):
 
 class _Budget:
     """Node counter and deadline of one exact search; ``tick`` once per
-    node checks both and raises ``_BudgetExhausted`` when either is spent."""
+    node checks both and raises ``_BudgetExhausted`` with the name of the
+    one it finds spent."""
 
     def __init__(self, node_budget, time_budget):
         self.nodes = 0
@@ -180,8 +181,10 @@ class _Budget:
         self.deadline = time.monotonic() + time_budget
 
     def tick(self):
-        if self.nodes >= self.node_budget or time.monotonic() > self.deadline:
-            raise _BudgetExhausted
+        if self.nodes >= self.node_budget:
+            raise _BudgetExhausted("node budget")
+        if time.monotonic() > self.deadline:
+            raise _BudgetExhausted("time budget")
         self.nodes += 1
 
     def charge(self, count):
@@ -189,12 +192,12 @@ class _Budget:
         sums them.  A charge that would pass the node budget stops at it
         and raises, as the ticks would have."""
         if time.monotonic() > self.deadline:
-            raise _BudgetExhausted
+            raise _BudgetExhausted("time budget")
         room = self.node_budget - self.nodes
         if count > room:
             self.nodes += room
             self.charged += room
-            raise _BudgetExhausted
+            raise _BudgetExhausted("node budget")
         self.nodes += count
         self.charged += count
 
@@ -409,25 +412,18 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
     start = time.monotonic()
     size = len(forced)
     root_ub = size + len(eng.cover(cand))
-    proven = True
+    reason = "cap reached" if eng.best >= eng.cap else "proven"
     try:
-        if cand and eng.best < eng.cap:
+        if cand and reason == "proven":
             eng.expand(cand, size, orbit)
-    except _BudgetExhausted:
-        proven = False
+    except _BudgetExhausted as exc:
+        reason = str(exc)
     except _CapReached:
-        pass
+        reason = "cap reached"
+    proven = reason in ("proven", "cap reached")
     seconds = time.monotonic() - start
     nodes = eng.budget.nodes
     expanded = nodes - eng.budget.charged
-    if eng.best >= eng.cap:
-        reason = "cap reached"
-    elif proven:
-        reason = "proven"
-    elif nodes >= eng.budget.node_budget:
-        reason = "node budget"
-    else:
-        reason = "time budget"
     logger.debug("MIS search: n=%d nodes=%d expanded=%d replayed=%d "
                  "table=%d clears=%d %.3f s %.0f nodes/s inherited=%.0f%% "
                  "stop=%s", n, nodes, expanded, eng.budget.charged,
@@ -561,9 +557,8 @@ def enumerate_maximal_cliques(G, cap=DEFAULT_CLIQUE_CAP):
             out.append(r)
             if len(out) > cap:
                 raise CliqueCapExceeded(
-                    f"more than {cap} maximal cliques; for triangle-free "
-                    "graphs fall back to edge constraints"
-                )
+                    f"more than {cap} maximal cliques: too many for the "
+                    "exact rho")
             return
         pivot = max(bits(p | x), key=lambda u: (adj[u] & p).bit_count())
         for v in bits(p & ~adj[pivot]):

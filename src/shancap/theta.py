@@ -16,9 +16,12 @@ iterations reach the limit of double precision.
 
 No iterate is trusted.  ``verify_primal_certificate`` turns each X into a
 proven lower bound, and ``verify_dual_certificate`` turns each M into a
-proven upper bound by one floating-point Cholesky with an a priori error
-bound and no heuristic margin (``_lambda_max_certified``).  The bracket is
-the best verified pair, so it is sound wherever the iteration stops.
+proven upper bound.  The bracket is the best verified pair, so it is sound
+wherever the iteration stops.  Both checks live in ``umbrella``, not here:
+M is an umbrella certificate of G and X the Gram matrix of an umbrella of
+the complement, and a check that shares no code with this solver cannot
+inherit its mistakes.  They are imported here for the loop and offered
+from here with ``CertificateError``.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+
+from .umbrella import (CertificateError, verify_dual_certificate,
+                       verify_primal_certificate)
 
 MATRIX_LIMIT = 3000  # largest order of the Schur matrix (m + 1) and of X (n)
 GAP_STOP = 1e-12  # duality gap, relative to t, at which the iteration stops
@@ -37,10 +42,6 @@ STEP_FRACTION = 0.95  # share of the step to the boundary of the PSD cone
 
 
 class ThetaError(ValueError):
-    pass
-
-
-class CertificateError(ThetaError):
     pass
 
 
@@ -59,103 +60,6 @@ class ThetaBracket:
     @property
     def width(self):
         return self.hi - self.lo
-
-
-def _edge_arrays(G):
-    edges = G.edges()
-    iu = np.array([e[0] for e in edges], dtype=np.intp)
-    iv = np.array([e[1] for e in edges], dtype=np.intp)
-    return iu, iv
-
-
-def _lambda_max_certified(M):
-    """A float t > lambda_max(M) for a symmetric M, proven by one float
-    Cholesky of A = t*I - M - c*I, its diagonal formed exactly and rounded
-    down.  A Cholesky that completes with a finite R gives R^T R = A + E,
-    ||E||_2 <= g/(1-g) tr(A), g = gamma_{n+1} = (n+1)u/(1-(n+1)u), u = 2^-53
-    (Demmel; Higham, Accuracy and Stability of Numerical Algorithms,
-    Thm 10.3; Rump, BIT 2006), so c = 2g/(1-g) sum(t - M_ii) + n*2^-1000
-    (underflow) proves t*I - M > 0.  Assumes IEEE doubles rounded to nearest
-    and LAPACK potrf as a standard Cholesky.  t starts just above the
-    eigvalsh estimate; each failed Cholesky quadruples the step."""
-    if not np.isfinite(M).all():
-        raise CertificateError("dual certificate has a non-finite entry")
-    n = M.shape[0]
-    diag = [Fraction(float(x)) for x in np.diag(M)]
-    g = Fraction(n + 1, 2**53 - n - 1)
-    est = float(np.linalg.eigvalsh(M)[-1])
-    step = n * (n + 1) * 2.0**-52 * (abs(est) + 1.0)
-    while math.isfinite(est + step):
-        t = Fraction(est + step)
-        c = 2 * g / (1 - g) * sum(t - d for d in diag) + Fraction(n, 2**1000)
-        A = -M
-        A[np.diag_indices(n)] = [math.nextafter(float(t - d - c), -math.inf)
-                                 for d in diag]  # float() rounds to nearest
-        try:
-            if np.isfinite(np.linalg.cholesky(A)).all():
-                return float(t)
-        except np.linalg.LinAlgError:
-            pass
-        step *= 4.0
-    raise CertificateError("no finite upper bound on lambda_max")
-
-
-def verify_dual_certificate(M, G):
-    """Check the pattern exactly (symmetric, unit diagonal, unit non-edge
-    entries), then return a sound upper bound from the certified largest
-    eigenvalue, which also rejects non-finite entries."""
-    n = G.n
-    M = np.asarray(M, dtype=float)
-    if M.shape != (n, n):
-        raise CertificateError("dual certificate has wrong shape")
-    if not np.array_equal(M, M.T, equal_nan=True):  # nan: rejected below
-        raise CertificateError("dual certificate not symmetric")
-    for i in range(n):
-        if M[i, i] != 1.0:
-            raise CertificateError(f"dual certificate diagonal {i} is not 1")
-        row = G.adj[i]
-        for j in range(i + 1, n):
-            if not row >> j & 1 and M[i, j] != 1.0:
-                raise CertificateError(
-                    f"dual certificate non-edge entry ({i},{j}) is not 1")
-    return _lambda_max_certified(M)
-
-
-def verify_primal_certificate(X, G, tol=1e-9):
-    """Check symmetry, eigenvalue floor, trace, and edge zeros within
-    ``tol``; return a proven lower bound on theta from the repaired matrix
-    (edges zeroed, lifted to PSD by a certified shift), with that matrix."""
-    n = G.n
-    X = np.asarray(X, dtype=float)
-    if X.shape != (n, n):
-        raise CertificateError("primal certificate has wrong shape")
-    if not np.isfinite(X).all():
-        raise CertificateError("primal certificate has a non-finite entry")
-    if np.max(np.abs(X - X.T)) > tol:
-        raise CertificateError("primal certificate not symmetric")
-    S = (X + X.T) / 2.0
-    iu, iv = _edge_arrays(G)
-    if len(iu) and float(np.max(np.abs(S[iu, iv]))) > tol:
-        raise CertificateError("primal certificate nonzero on an edge")
-    if abs(np.trace(S) - 1.0) > tol:
-        raise CertificateError("primal certificate trace is not 1")
-    lam_min = float(np.linalg.eigvalsh(S)[0])
-    if lam_min < -tol:
-        raise CertificateError("primal certificate not PSD within tolerance")
-    # repair: zero edges exactly; X = S + shift*I is PSD by a proven shift,
-    # and <J,X>/tr X is bounded below from the exactly rounded sums
-    if len(iu):
-        S[iu, iv] = 0.0
-        S[iv, iu] = 0.0
-    shift = Fraction(max(0.0, _lambda_max_certified(-S)))
-    total = Fraction(math.nextafter(math.fsum(S.ravel()), -math.inf))
-    trace = Fraction(math.nextafter(math.fsum(np.diag(S)), math.inf))
-    value = max(total + n * shift, Fraction(0)) / (trace + n * shift)
-    lo = float(value)
-    if Fraction(lo) > value:
-        lo = math.nextafter(lo, -math.inf)
-    S[np.diag_indices(n)] += float(shift)
-    return lo, S / np.trace(S)
 
 
 def _dual_matrix(y, n, iu, iv):
@@ -266,7 +170,7 @@ def lovasz_theta(G, tol=1e-6, max_iterations=100, time_budget=None):
             f"theta needs dense matrices of order m + 1 = {m + 1} (m = {m} "
             f"edges) and n = {n}; the limit is {MATRIX_LIMIT}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    iu, iv = _edge_arrays(G)
+    iu, iv = np.array(G.edges(), dtype=np.intp).reshape(-1, 2).T
     b = np.zeros(m + 1)  # right-hand sides of tr X = 1 and X_e = 0
     b[0] = 1.0
     X = np.eye(n) / n

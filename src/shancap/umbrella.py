@@ -14,6 +14,15 @@ floor, orthogonality), but the value it reports uses none of them: it is
 the value of an exact umbrella built from the Gram matrix of handle and
 states, with the non-edge entries set to 0, the diagonal set to 1 and the
 smallest eigenvalue certified (``_certified_value``).
+
+The matrices of ``theta.lovasz_theta`` are umbrella certificates too, and
+their checks live here.  A dual matrix M with t*I - M = V^T V PSD gives the
+umbrella of G with handle e_0 and states (1, v_i)/sqrt(t), value t
+(Lovász, IEEE Trans. IT 1979, Thm 5): ``verify_dual_certificate``.  A
+primal matrix X is the Gram matrix of an umbrella of the complement:
+``verify_primal_certificate``.  All three checks rest on one certified
+largest eigenvalue (``_lambda_max_certified``) and share no code with a
+solver: this module imports no other ``shancap`` module.
 """
 
 from __future__ import annotations
@@ -24,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-from .theta import _lambda_max_certified
 
 DEFAULT_ORTHOGONALITY_TOL = 1e-9
 UNIT_TOL = 1e-9  # slack on norms, traces and symmetry in the validity screen
@@ -38,6 +45,10 @@ class UmbrellaError(ValueError):
 
 
 class DensityMatrixError(UmbrellaError):
+    pass
+
+
+class CertificateError(ValueError):
     pass
 
 
@@ -293,6 +304,99 @@ def purify_umbrella(u):
         new_states.append(np.outer(vec, vec))
     out = DensityUmbrella(u.dim, C, np.stack(new_states))
     return PurifyResult(out, tuple(degenerate), value_before, umbrella_value(out))
+
+
+# -- theta's matrices -------------------------------------------------------
+
+
+def _lambda_max_certified(M):
+    """A float t > lambda_max(M) for a symmetric M, proven by one float
+    Cholesky of A = t*I - M - c*I, its diagonal formed exactly and rounded
+    down.  A Cholesky that completes with a finite R gives R^T R = A + E,
+    ||E||_2 <= g/(1-g) tr(A), g = gamma_{n+1} = (n+1)u/(1-(n+1)u), u = 2^-53
+    (Demmel; Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3; Rump, BIT 2006), so c = 2g/(1-g) sum(t - M_ii) + n*2^-1000
+    (underflow) proves t*I - M > 0.  Assumes IEEE doubles rounded to nearest
+    and LAPACK potrf as a standard Cholesky.  t starts just above the
+    eigvalsh estimate; each failed Cholesky quadruples the step."""
+    if not np.isfinite(M).all():
+        raise CertificateError("dual certificate has a non-finite entry")
+    n = M.shape[0]
+    diag = [Fraction(float(x)) for x in np.diag(M)]
+    g = Fraction(n + 1, 2**53 - n - 1)
+    est = float(np.linalg.eigvalsh(M)[-1])
+    step = n * (n + 1) * 2.0**-52 * (abs(est) + 1.0)
+    while math.isfinite(est + step):
+        t = Fraction(est + step)
+        c = 2 * g / (1 - g) * sum(t - d for d in diag) + Fraction(n, 2**1000)
+        A = -M
+        A[np.diag_indices(n)] = [math.nextafter(float(t - d - c), -math.inf)
+                                 for d in diag]  # float() rounds to nearest
+        try:
+            if np.isfinite(np.linalg.cholesky(A)).all():
+                return float(t)
+        except np.linalg.LinAlgError:
+            pass
+        step *= 4.0
+    raise CertificateError("no finite upper bound on lambda_max")
+
+
+def verify_dual_certificate(M, G):
+    """Check the pattern exactly (symmetric, unit diagonal, unit non-edge
+    entries), then return a sound upper bound from the certified largest
+    eigenvalue, which also rejects non-finite entries."""
+    n = G.n
+    M = np.asarray(M, dtype=float)
+    if M.shape != (n, n):
+        raise CertificateError("dual certificate has wrong shape")
+    if not np.array_equal(M, M.T, equal_nan=True):  # nan: rejected below
+        raise CertificateError("dual certificate not symmetric")
+    for i in range(n):
+        if M[i, i] != 1.0:
+            raise CertificateError(f"dual certificate diagonal {i} is not 1")
+        row = G.adj[i]
+        for j in range(i + 1, n):
+            if not row >> j & 1 and M[i, j] != 1.0:
+                raise CertificateError(
+                    f"dual certificate non-edge entry ({i},{j}) is not 1")
+    return _lambda_max_certified(M)
+
+
+def verify_primal_certificate(X, G, tol=1e-9):
+    """Check symmetry, eigenvalue floor, trace, and edge zeros within
+    ``tol``; return a proven lower bound on theta from the repaired matrix
+    (edges zeroed, lifted to PSD by a certified shift), with that matrix."""
+    n = G.n
+    X = np.asarray(X, dtype=float)
+    if X.shape != (n, n):
+        raise CertificateError("primal certificate has wrong shape")
+    if not np.isfinite(X).all():
+        raise CertificateError("primal certificate has a non-finite entry")
+    if np.max(np.abs(X - X.T)) > tol:
+        raise CertificateError("primal certificate not symmetric")
+    S = (X + X.T) / 2.0
+    iu, iv = np.array(G.edges(), dtype=np.intp).reshape(-1, 2).T
+    if len(iu) and float(np.max(np.abs(S[iu, iv]))) > tol:
+        raise CertificateError("primal certificate nonzero on an edge")
+    if abs(np.trace(S) - 1.0) > tol:
+        raise CertificateError("primal certificate trace is not 1")
+    lam_min = float(np.linalg.eigvalsh(S)[0])
+    if lam_min < -tol:
+        raise CertificateError("primal certificate not PSD within tolerance")
+    # repair: zero edges exactly; X = S + shift*I is PSD by a proven shift,
+    # and <J,X>/tr X is bounded below from the exactly rounded sums
+    if len(iu):
+        S[iu, iv] = 0.0
+        S[iv, iu] = 0.0
+    shift = Fraction(max(0.0, _lambda_max_certified(-S)))
+    total = Fraction(math.nextafter(math.fsum(S.ravel()), -math.inf))
+    trace = Fraction(math.nextafter(math.fsum(np.diag(S)), math.inf))
+    value = max(total + n * shift, Fraction(0)) / (trace + n * shift)
+    lo = float(value)
+    if Fraction(lo) > value:
+        lo = math.nextafter(lo, -math.inf)
+    S[np.diag_indices(n)] += float(shift)
+    return lo, S / np.trace(S)
 
 
 # -- JSON -------------------------------------------------------------------

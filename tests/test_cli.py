@@ -331,3 +331,13 @@ def test_gen_honours_vertex_limit_on_every_graph(capsys, tmp_path, spec, body):
                  spec.format(path=path)])
     assert code == 1 and not out
     assert "5000 vertices (> limit 1000)" in err
+
+
+def test_bounds_names_the_ambiguous_product_labels(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 2, "edges": [],
+                                "labels": [[0], [0, 0]]}))
+    code, _, err = run_capture(capsys, ["bounds", f"file:{path}"])
+    assert code == 1
+    assert "error: product labels (0,) + (0, 0) and (0, 0) + (0,) both " \
+        "read (0, 0, 0)" in err

@@ -46,6 +46,14 @@ def test_graphs_imports_no_other_shancap_module():
     assert list(_package_imports(path)) == []
 
 
+@pytest.mark.parametrize("name", ["umbrella.py", "haemers.py"])
+def test_certificate_checks_import_no_other_shancap_module(name):
+    # the umbrella, theta and fitting-matrix checks share no code with a
+    # solver (solvers, theta, fractional, kings)
+    path = Path(shancap.__file__).parent / name
+    assert list(_package_imports(path)) == []
+
+
 def test_the_package_import_scan_sees_relative_imports():
     path = Path(shancap.__file__).parent / "report.py"
     assert any(name == ".graphs" for _, name in _package_imports(path))

@@ -97,6 +97,13 @@ def test_strong_power_basic():
     assert G.labels[0] == (0, 0) and G.labels[8] == (1, 1)
 
 
+def test_ambiguous_product_labels_are_rejected():
+    G = from_edges(2, [], labels=((0,), (0, 0)))
+    with pytest.raises(GraphError, match=r"\(0,\) \+ \(0, 0\) and "
+                       r"\(0, 0\) \+ \(0,\) both read \(0, 0, 0\)"):
+        strong_power(G, 2)
+
+
 def test_strong_power_splits_into_products():
     G = cycle(5)
     for a, b in ((1, 1), (1, 2), (2, 1)):

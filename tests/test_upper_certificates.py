@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from shancap.cli import run
 from shancap.fractional import rosenfeld_number
-from shancap.graphs import cycle, empty, from_edges, strong_power
+from shancap.graphs import (cycle, empty, from_edges, strong_power,
+                            strong_product)
 from shancap.haemers import fitting_matrix
 from shancap.report import (CertificateRejected, ReportError, _check_order,
                             combine_external_certificate, compute_bounds,
                             verify_report)
 from shancap.solvers import SolverConfig
-from shancap.theta import ThetaBracket
+from shancap.theta import ThetaBracket, lovasz_theta
 from shancap.umbrella import (DensityUmbrella, VectorUmbrella,
                               odd_cycle_umbrella, purify_umbrella,
                               tensor_umbrella, umbrella_to_json,
@@ -184,8 +185,8 @@ def test_umbrella_verify_cli_prints_the_certified_value(tmp_path, capsys):
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 8))
+def small_graphs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
@@ -203,3 +204,30 @@ def test_every_small_report_verifies(G):
     assert alpha <= bracket.hi
     rho, _ = rosenfeld_number(G)
     assert bracket.lo <= rho
+
+
+def theta_umbrella(bracket):
+    """The umbrella of theta's dual certificate M with bound hi: rows v_i
+    of V with V V^T = hi*I - M, states (1, v_i)/sqrt(hi), handle e_0."""
+    hi, M = bracket.hi, bracket.dual_certificate
+    w, Q = np.linalg.eigh(hi * np.eye(len(M)) - M)
+    V = Q * np.sqrt(np.clip(w, 0.0, None))
+    states = np.hstack([np.ones((len(M), 1)), V]) / math.sqrt(hi)
+    handle = np.zeros(len(M) + 1)
+    handle[0] = 1.0
+    return VectorUmbrella(len(M) + 1, handle, states)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_n=9))
+def test_theta_dual_certificate_is_an_umbrella(G):
+    bracket = lovasz_theta(G)
+    hi = bracket.hi
+    u = theta_umbrella(bracket)
+    check = verify_umbrella(u, G)
+    assert check.valid, check.violations
+    assert abs(check.value - hi) <= 1e-9 * hi
+    if G.n <= 6:
+        square = verify_umbrella(tensor_umbrella(u, u), strong_product(G, G))
+        assert square.valid, square.violations
+        assert abs(square.value - hi * hi) <= 1e-9 * hi * hi

@@ -190,6 +190,12 @@ def test_an_ambiguous_cell_is_rejected():
         verify_report(two)
 
 
+def test_labels_that_concatenate_ambiguously_stop_the_report():
+    G = from_edges(2, [], labels=((0,), (0, 0)))
+    with pytest.raises(GraphError, match="both read \\(0, 0, 0\\)"):
+        compute_bounds(G, max_power=2, cfg=CFG)
+
+
 def test_an_imported_placement_is_named_by_the_graph_labels():
     labels = tuple((v * 3 % 5,) for v in range(5))  # C5 with relabelled cells
     G = Graph(5, cycle(5).adj, labels)
