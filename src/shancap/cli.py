@@ -365,7 +365,8 @@ def _dispatch(args):
             sub, skipped = _guarded_exact_kings(Board(args.p, args.d - 1),
                                                 cfg, args)
             res = capped_result(
-                canonical_placement(layered_construction(sub.placement)))
+                canonical_placement(layered_construction(sub.placement)),
+                cfg.time_budget)
         degraded = not res.proven_optimal
         doc = {"p": args.p, "d": args.d, "count": res.count,
                "proven": res.proven_optimal, "upper_bound": res.upper_bound,

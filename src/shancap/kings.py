@@ -31,8 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from .graphs import (DEFAULT_VERTEX_LIMIT, ProductIndex, cycle,
-                     independent_in_power, strong_power)
+from .graphs import (DEFAULT_VERTEX_LIMIT, ProductIndex, check_vertex_limit,
+                     cycle, independent_in_power, strong_power, strong_product)
 from .solvers import SolverConfig, _run_engine, heuristic_independent_set
 from .theta import lovasz_theta
 
@@ -123,20 +123,21 @@ def verify_placement(pl):
 
 
 @lru_cache(maxsize=None)
-def _theta_cycle_hi(p):
-    return lovasz_theta(cycle(p)).hi
+def _theta_cycle_hi(p, time_budget=None):
+    return lovasz_theta(cycle(p), time_budget=time_budget).hi
 
 
-def _theta_cap(p, d):
+def _theta_cap(p, d, time_budget=None):
     """⌊θ(C_p)^d⌋ from the certified upper end of θ(C_p), computed in exact
-    arithmetic: no packing of the p^d torus has more kings."""
-    return math.floor(Fraction(_theta_cycle_hi(p)) ** d)
+    arithmetic within ``time_budget`` seconds: no packing of the p^d torus
+    has more kings."""
+    return math.floor(Fraction(_theta_cycle_hi(p, time_budget)) ** d)
 
 
-def capped_result(pl):
+def capped_result(pl, time_budget=None):
     """``pl`` as a result whose upper bound is the θ cap of its board; it is
     proven optimal when it meets the cap."""
-    cap = _theta_cap(pl.board.p, pl.board.d)
+    cap = _theta_cap(pl.board.p, pl.board.d, time_budget)
     return KingSearchResult(pl, len(pl) >= cap, cap)
 
 
@@ -219,58 +220,59 @@ def heuristic_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
 
     The upper bound is the θ cap ⌊θ(C_p)^d⌋, and the result is proven
     optimal when the packing meets it."""
-    return capped_result(
-        _heuristic_placement(board, cfg or SolverConfig(), vertex_limit))
+    cfg = cfg or SolverConfig()
+    pl, _ = _heuristic_placement(board, cfg, vertex_limit)
+    return capped_result(pl, cfg.time_budget)
 
 
-def _heuristic_placement(board, cfg, vertex_limit, G=None):
-    """The packing of ``heuristic_max_kings``.  ``G``, when given, is the
-    king graph of ``board`` itself, which is then not built again."""
+def _heuristic_placement(board, cfg, vertex_limit):
+    """(packing of ``heuristic_max_kings``, C_p^d).  Each C_p^k is built
+    once, as C_p^(k-1) times C_p, so its labels are ``strong_power``'s; a
+    board over ``vertex_limit`` fails before any search."""
+    check_vertex_limit(board.cells, vertex_limit)
     p = board.p
+    C = Gk = king_graph(Board(p, 1), vertex_limit)
     best = {1: _floor_packing(p)}
     for k in range(2, board.d + 1):
-        sub = Board(p, k)
-        Gk = king_graph(sub, vertex_limit) if G is None or k < board.d else G
+        Gk = strong_product(Gk, C, vertex_limit)
         found = heuristic_independent_set(Gk, cfg)
-        pl = Placement(sub, tuple(Gk.labels[v] for v in found.vertices))
+        pl = Placement(Board(p, k), tuple(Gk.labels[v] for v in found.vertices))
         for a in range(1, k // 2 + 1):
             prod = product_placement(best[k - a], best[a])
             if len(prod) > len(pl):
                 pl = prod
         best[k] = canonical_placement(pl)
-    return best[board.d]
+    return best[board.d], Gk
 
 
 def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Exact packing number of the toroidal board within budget.
 
-    The search starts from ``heuristic_max_kings`` and stops as soon as its
-    incumbent meets the θ cap ⌊θ(C_p)^d⌋, which then proves it optimal
-    (with no search node at all when the seed already meets it, as the
-    product packing 5 * 5 does on (5, 4)).  The reported upper bound never
-    exceeds the cap.  Symmetry breaking: the first king is fixed at the
-    origin, and the branching level right below it prunes whole orbits of
-    the origin stabilizer.  Cross-checked in tests against the generic
-    solver.
+    The search runs on the heuristic's C_p^d, a cell being the vertex so
+    labelled, from ``heuristic_max_kings``'s packing, and stops once its
+    incumbent meets the θ cap ⌊θ(C_p)^d⌋, which proves it optimal (with
+    no search node when the seed meets it, as 5 * 5 does on (5, 4)).  The
+    reported upper bound never exceeds the cap.  Symmetry breaking: the
+    first king is fixed at the origin, and the branching level right below
+    it prunes whole orbits of the origin stabilizer.  Cross-checked in
+    tests against the generic solver.
     """
     cfg = cfg or SolverConfig()
-    G = king_graph(board, vertex_limit)
-    idx = board.index
-    incumbent = _heuristic_placement(board, cfg, vertex_limit, G)
-    # canonical, so it contains the origin and seeds the forced search
-    incumbent_ids = tuple(idx.encode(c) for c in incumbent.cells)
-    origin = idx.encode((0,) * board.d)
+    incumbent, G = _heuristic_placement(board, cfg, vertex_limit)
+    ids = {label: v for v, label in enumerate(G.labels)}
 
     def orbit_mask(v):
         mask = 0
-        for cell in _stabilizer_orbit(board, idx.decode(v)):
-            mask |= 1 << idx.encode(cell)
+        for cell in _stabilizer_orbit(board, G.labels[v]):
+            mask |= 1 << ids[cell]
         return mask
 
+    # canonical, so the incumbent contains the origin and seeds the search
     verts, proven, upper, _ = _run_engine(
-        G, cfg, forced=(origin,), orbit_fn=orbit_mask, incumbent=incumbent_ids,
-        cap=_theta_cap(board.p, board.d))
-    pl = canonical_placement(Placement(board, tuple(idx.decode(v) for v in verts)))
+        G, cfg, forced=(ids[(0,) * board.d],), orbit_fn=orbit_mask,
+        incumbent=tuple(ids[c] for c in incumbent.cells),
+        cap=_theta_cap(board.p, board.d, cfg.time_budget))
+    pl = canonical_placement(Placement(board, tuple(G.labels[v] for v in verts)))
     ok, pair = verify_placement(pl)
     if not ok:
         raise PlacementError(f"internal error: invalid packing at {pair}")

@@ -11,7 +11,8 @@ byte-for-byte identically.  ``verify_report`` re-checks them all: every
 cell witness (the lower one and each table row's, whatever its method),
 read back into G's vertices through G's labels, by one coordinate-wise
 check on G's adjacency, with no G^k built, and the upper certificate
-through ``certified_upper``, which also vets imports.
+through ``certified_upper``, which also vets imports.  An imported
+packing on the (G.n, d) board is a witness of G^d like any other.
 
 Upper bounds are rounded outward, never to the nearest value: the chosen
 upper value is rounded up to 6 significant digits, unless the reported
@@ -31,10 +32,9 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
 
 from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError,
-                     VertexLimitError, cycle, independent_in_power,
-                     strong_power)
+                     VertexLimitError, independent_in_power, strong_power)
 from .haemers import FittingError, FittingMatrix, haemers_certificate
-from .kings import Placement, verify_placement
+from .kings import Placement
 from .solvers import SolverConfig, max_independent_set
 from .theta import ThetaBracket, lovasz_theta
 from .umbrella import (CertificateError, DensityUmbrella, VectorUmbrella,
@@ -223,20 +223,19 @@ def certified_upper(G, cert):
 def combine_external_certificate(report, cert):
     """Fold an imported certificate into a report.
 
-    Umbrellas and fitting matrices tighten the upper bound; packings on
-    the k-th power raise the lower bound.  The certificate is re-verified
-    here; anything that fails verification is rejected and the original
-    report stays as it was.
+    Umbrellas and fitting matrices tighten the upper bound; a packing on
+    the (G.n, d) board, its cells read as vertices of G^d, raises the
+    lower bound once it passes ``independent_in_power`` on G.  Anything
+    that fails verification is rejected and the report stays as it was.
     """
     G = report.graph
     if isinstance(cert, Placement):
         board = cert.board
-        if G.adj != cycle(board.p).adj:
-            raise CertificateRejected(
-                f"placement lives on powers of a {board.p}-cycle; the report "
-                "graph differs")
-        ok, pair = verify_placement(cert)
-        if not ok:
+        if board.p != G.n:
+            raise CertificateRejected(f"placement on a {board.p}-wide board; "
+                                      f"the report graph has {G.n} vertices")
+        pair = independent_in_power(G, board.d, cert.cells)
+        if pair is not None:
             raise CertificateRejected(f"placement invalid at cell pair {pair}")
         value = len(cert) ** (1.0 / board.d)
         if value > report.lower.value:  # cells of G^d, named as strong_power does

@@ -84,7 +84,10 @@ class SolverConfig:
     unproven.  A subtree the MIS search replays instead of searching it
     again counts all its nodes against ``node_budget`` (stopping at the
     budget if it would pass it, as the nodes would have) and reads the
-    clock once, so the overrun stays at most one node's work.
+    clock once, so the overrun stays at most one node's work.  The local
+    search ``heuristic_independent_set`` reads the clock once per restart:
+    its first restart always completes, and later ones start only while
+    ``time_budget`` is left.
     """
 
     time_budget: float = 60.0
@@ -480,16 +483,21 @@ def clique_number(G, cfg=None):
 
 
 def heuristic_independent_set(G, cfg=None):
-    """Randomized greedy + (1,2)-swap local search from ``_RESTARTS``
-    shuffled orders; deterministic per seed."""
+    """Randomized greedy + (1,2)-swap local search from up to ``_RESTARTS``
+    shuffled orders, deterministic per seed unless ``cfg.time_budget``
+    binds: the first restart always completes, and each later one starts
+    only while time is left, so the overrun is at most one restart."""
     cfg = cfg or SolverConfig()
+    deadline = time.monotonic() + cfg.time_budget
     rng = random.Random(cfg.seed)
     n = G.n
     adj = G.adj
     full = (1 << n) - 1
     nonadj_closed = [~(adj[v] | (1 << v)) & full for v in range(n)]
     best = ()
-    for _ in range(_RESTARTS):
+    for restart in range(_RESTARTS):
+        if restart and time.monotonic() > deadline:
+            break
         order = list(range(n))
         rng.shuffle(order)
         sol = []
@@ -638,11 +646,11 @@ def clique_cover_number(G, cfg=None):
 
     Returns (value, CliqueCover); the cover is valid either way, with
     proven_optimal=False when the search degraded to greedy.  The exact
-    search ticks one budget of min(``node_budget``, 2,000,000) backtrack
-    nodes over all values of k, checking the node count and the clock on
-    every node, so it overruns ``time_budget`` by at most one node's work:
-    one scan of the uncolored vertices.  The greedy bounds before it are
-    not budgeted.
+    search ticks one budget of ``node_budget`` backtrack nodes over all
+    values of k, checking the node count and the clock on every node, so
+    it overruns ``time_budget`` by at most one node's work: one scan of
+    the uncolored vertices.  The greedy bounds before it are not
+    budgeted.
     """
     cfg = cfg or SolverConfig()
     H = complement(G)
@@ -654,7 +662,7 @@ def clique_cover_number(G, cfg=None):
     lb = clique_mask.bit_count()
     best_classes = greedy_classes
     proven = lb == ub
-    budget = _Budget(min(cfg.node_budget, 2_000_000), cfg.time_budget)
+    budget = _Budget(cfg.node_budget, cfg.time_budget)
     if not proven:
         try:
             for k in range(lb, ub):

@@ -1,12 +1,18 @@
 """The θ cap and product packings in the king search."""
 
+import time
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shancap.kings import (Board, Placement, PlacementError, _theta_cap,
-                           exact_max_kings, heuristic_max_kings, king_graph,
-                           product_placement, verify_placement)
+from shancap import kings
+from shancap.graphs import VertexLimitError, cycle, strong_power
+from shancap.kings import (Board, Placement, PlacementError,
+                           _heuristic_placement, _theta_cap, exact_max_kings,
+                           heuristic_max_kings, king_graph, product_placement,
+                           verify_placement)
 from shancap.solvers import SolverConfig, _run_engine
 
 
@@ -61,3 +67,27 @@ def test_product_of_heuristic_packings(p, a, b):
     assert verify_placement(prod) == (True, None)
     assert len(prod) == len(first) * len(second)
     assert len(prod) <= _theta_cap(p, a + b)
+
+
+@pytest.mark.parametrize("p, d", [(3, 3), (4, 3), (5, 4), (7, 3), (11, 2)])
+def test_the_heuristic_builds_the_strong_power(p, d):
+    pl, G = _heuristic_placement(Board(p, d), SolverConfig(), 10**4)
+    assert G == strong_power(cycle(p), d)  # labels included
+    assert pl.board == Board(p, d)
+
+
+def test_an_over_limit_board_fails_before_any_heuristic():
+    start = time.monotonic()
+    with pytest.raises(VertexLimitError):
+        heuristic_max_kings(Board(20, 4))
+    assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("search", [exact_max_kings, heuristic_max_kings])
+def test_the_theta_cap_runs_under_the_search_budget(search):
+    kings._theta_cycle_hi.cache_clear()
+    with mock.patch.object(kings, "lovasz_theta",
+                           wraps=kings.lovasz_theta) as spy:
+        res = search(Board(13, 1), SolverConfig(time_budget=7.25))
+    assert spy.call_args.kwargs["time_budget"] == 7.25
+    assert res.upper_bound == 6

@@ -1,11 +1,13 @@
 import random
 import time
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shancap import solvers
 from shancap.graphs import (complement, complete, cycle, disjoint_union,
                             empty, from_edges, strong_power, strong_product)
 from shancap.solvers import (CliqueCapExceeded, SolverConfig, SolverError,
@@ -249,3 +251,19 @@ def test_search_never_returns_less_than_its_local_search(case):
     res = max_independent_set(G, cfg)
     assert len(res.vertices) >= len(heuristic_independent_set(G, cfg).vertices)
     assert len(res.vertices) <= res.upper_bound
+
+
+def test_local_search_starts_no_restart_once_the_budget_is_spent():
+    # the first restart always completes; on C7^2 seed 0 it finds 9 of 10
+    G = strong_power(cycle(7), 2)
+    spent = heuristic_independent_set(G, SolverConfig(time_budget=1e-9))
+    with mock.patch.object(solvers, "_RESTARTS", 1):
+        one = heuristic_independent_set(G, SolverConfig())
+    assert spent == one
+    assert len(one.vertices) == 9
+
+
+def test_clique_cover_gets_the_node_budget_it_is_given():
+    with mock.patch.object(solvers, "_Budget", wraps=solvers._Budget) as spy:
+        clique_cover_number(cycle(7), SolverConfig(node_budget=3_000_000))
+    assert spy.call_args.args[0] == 3_000_000

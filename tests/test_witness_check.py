@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shancap.graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError, cycle,
-                            from_edges, independent_in_power, strong_power,
-                            strong_product)
+                            disjoint_union, from_edges, independent_in_power,
+                            strong_power, strong_product)
 from shancap.kings import Board, Placement, PlacementError, toroidal_chebyshev
-from shancap.report import (LowerBound, ReportError, _check_witness,
-                            combine_external_certificate, compute_bounds,
-                            verify_report)
+from shancap.report import (CertificateRejected, LowerBound, ReportError,
+                            _check_witness, combine_external_certificate,
+                            compute_bounds, verify_report)
 from shancap.solvers import SolverConfig, is_independent_set
 
 CFG = SolverConfig(time_budget=120.0, seed=0)
@@ -229,3 +229,29 @@ def test_a_labelled_witness_is_checked_on_the_vertices_it_names(case, rng,
     except ReportError:
         ok = False
     assert ok == (independent_in_power(G, k, cells) is None)
+
+
+def _c5_plus_k1():
+    return disjoint_union(cycle(5), from_edges(1, []))  # alpha 3, theta 3.236
+
+
+TEN = ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3), (5, 0), (5, 2), (0, 5), (2, 5),
+       (5, 5))
+
+
+def test_a_packing_imports_on_the_power_of_any_graph():
+    rep = compute_bounds(_c5_plus_k1(), max_power=1, cfg=CFG, graph_desc="C5+K1")
+    assert rep.lower.value == 3.0
+    out = combine_external_certificate(rep, Placement(Board(6, 2), TEN))
+    assert out.lower.value == math.sqrt(10)
+    assert out.lower.method == "placement"
+    assert verify_report(out)
+
+
+def test_an_imported_packing_is_rejected_at_its_first_clash():
+    rep = compute_bounds(_c5_plus_k1(), max_power=1, cfg=CFG, graph_desc="C5+K1")
+    clash = TEN[:-1] + ((4, 4),)  # (4, 4) touches (0, 0) across C5's edge 0-4
+    with pytest.raises(CertificateRejected, match=r"pair \(0, 9\)"):
+        combine_external_certificate(rep, Placement(Board(6, 2), clash))
+    with pytest.raises(CertificateRejected, match="graph has 6 vertices"):
+        combine_external_certificate(rep, Placement(Board(7, 2), TEN))
