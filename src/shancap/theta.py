@@ -14,18 +14,28 @@ for every graph.  Each iteration factors one Schur matrix of order m + 1
 (m edges), built by index gathers over the edge arrays; a few dozen
 iterations reach the limit of double precision.
 
-No iterate is trusted.  ``verify_primal_certificate`` turns each X into a
-proven lower bound, and ``verify_dual_certificate`` turns each M into a
-proven upper bound.  The bracket is the best verified pair, so it is sound
-wherever the iteration stops.  Both checks live in ``umbrella``, not here:
-M is an umbrella certificate of G and X the Gram matrix of an umbrella of
-the complement, and a check that shares no code with this solver cannot
-inherit its mistakes.  They are imported here for the loop and offered
-from here with ``CertificateError``.
+The bracket is the best pair of iterates as ``verify_primal_certificate``
+and ``verify_dual_certificate`` certify them, so it is sound wherever the
+iteration stops.  Only iterates that can still win are certified.  A cheap
+screen bounds each certified value from the side that matters: a dual
+iterate M certifies more than eigvalsh(M)'s largest value, and a primal
+iterate X certifies at most max(1, T/tr), for the rounded sums T of all
+entries and tr of the diagonal that the primal check forms from X
+symmetrized with its edges zeroed.  Each side holds at most ``POOL``
+unverified iterates; when a pool is full, and at the end, its most
+promising iterate is verified, and every iterate whose screen shows it can
+neither beat nor tie the best verified value is dropped.  Ties go to the
+earliest iterate, so the bracket is the one a check of every iterate would
+give.  Both checks live in ``umbrella``, not here: M is an umbrella
+certificate of G and X the Gram matrix of an umbrella of the complement,
+and a check that shares no code with this solver cannot inherit its
+mistakes.  They are imported here for the pools and offered from here with
+``CertificateError``.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -39,6 +49,9 @@ MATRIX_LIMIT = 3000  # largest order of the Schur matrix (m + 1) and of X (n)
 GAP_STOP = 1e-12  # duality gap, relative to t, at which the iteration stops
 STALL = 3  # iterations that fail to halve the smallest gap before a stop
 STEP_FRACTION = 0.95  # share of the step to the boundary of the PSD cone
+POOL = 8  # unverified iterates held per side before the best is verified
+
+logger = logging.getLogger(__name__)
 
 
 class ThetaError(ValueError):
@@ -140,6 +153,59 @@ def _step(X, S, b, iu, iv):
             dy, min(1.0, STEP_FRACTION * _step_to_boundary(Si, dS)))
 
 
+def _dual_screen(M):
+    """A float below the bound ``verify_dual_certificate`` proves for M,
+    which starts strictly above this eigvalsh estimate."""
+    return float(np.linalg.eigvalsh(M)[-1])
+
+
+def _primal_screen(X, iu, iv):
+    """A float at least the bound ``verify_primal_certificate`` proves for
+    X.  That bound is (T + n*s)/(tr + n*s) with s >= 0, rounded down, for
+    the rounded sums T and tr it forms from X symmetrized with its edges
+    zeroed, so it never exceeds max(1, T/tr)."""
+    S = (X + X.T) / 2.0
+    S[iu, iv] = S[iv, iu] = 0.0
+    total = math.nextafter(math.fsum(S.ravel()), -math.inf)
+    trace = math.nextafter(math.fsum(np.diag(S)), math.inf)
+    return max(1.0, total / trace)
+
+
+class _Pool:
+    """One side's unverified iterates, at most ``POOL``, and its best
+    verified one.  Values are signed so that the larger wins, and each
+    screen is at least its iterate's value; ties go to the earlier
+    iterate, so entries compare as (value or screen, -index)."""
+
+    def __init__(self, verify):
+        self.verify = verify  # iterate -> (signed value, certificate)
+        self.waiting = []  # (screen, -index, iterate)
+        self.best = (-math.inf, 0, None)  # (value, -index, certificate)
+        self.calls = 0
+
+    def add(self, screen, index, iterate):
+        if len(self.waiting) == POOL:
+            self.verify_next()
+        if (screen, -index) > self.best[:2]:
+            self.waiting.append((screen, -index, iterate))
+
+    def verify_next(self):
+        """Verify the most promising iterate, then drop every iterate that
+        can no longer beat or tie the best."""
+        k = max(range(len(self.waiting)), key=lambda k: self.waiting[k][:2])
+        _, neg, iterate = self.waiting.pop(k)
+        value, certificate = self.verify(iterate)
+        self.calls += 1
+        if (value, neg) > self.best[:2]:
+            self.best = (value, neg, certificate)
+        self.waiting = [w for w in self.waiting if w[:2] > self.best[:2]]
+
+    def drain(self):
+        while self.waiting:
+            self.verify_next()
+        return self.best[0], self.best[2]
+
+
 def lovasz_theta(G, tol=1e-6, max_iterations=100, time_budget=None):
     """Certified bracket [lo, hi] around the Lovász number of G.
 
@@ -151,12 +217,17 @@ def lovasz_theta(G, tol=1e-6, max_iterations=100, time_budget=None):
     numerically positive definite; after ``max_iterations`` iterations; or
     once ``time_budget`` seconds (None: no limit) have passed.  The clock
     is read once per iteration, so the budget is overrun by at most one
-    iteration and the verification of its iterate.
+    iteration (which verifies at most one iterate per side) and the
+    emptying of the two pools (at most ``POOL`` verifications each).
 
-    Every iterate is verified, and the best proven ``lo`` and ``hi`` are
-    returned with their certificates wherever the loop stops.  ``tol`` only
-    decides ``converged`` (hi - lo <= tol).  ``iterations`` counts
-    interior-point iterations.
+    The best ``lo`` and ``hi`` of all iterates are returned with their
+    certificates wherever the loop stops, the earliest iterate winning a
+    tie; only iterates whose screen can still beat or tie the best are
+    verified (see the module docstring).  ``tol`` only decides
+    ``converged`` (hi - lo <= tol).  ``iterations`` counts interior-point
+    iterations.  One debug line per solve goes to the ``shancap.theta``
+    logger: verifications per side, the bracket, the time and the stop
+    reason.
 
     Raises ``ThetaError``, before anything is allocated, when the Schur
     matrix (order m + 1 for m edges) or X (order n) would exceed
@@ -169,40 +240,50 @@ def lovasz_theta(G, tol=1e-6, max_iterations=100, time_budget=None):
         raise ThetaError(
             f"theta needs dense matrices of order m + 1 = {m + 1} (m = {m} "
             f"edges) and n = {n}; the limit is {MATRIX_LIMIT}")
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    start = time.monotonic()
+    deadline = None if time_budget is None else start + time_budget
     iu, iv = np.array(G.edges(), dtype=np.intp).reshape(-1, 2).T
     b = np.zeros(m + 1)  # right-hand sides of tr X = 1 and X_e = 0
     b[0] = 1.0
     X = np.eye(n) / n
     y = np.zeros(m + 1)  # y[0] = t, y[1:] = 1 - M on the edges
     y[0] = n + 1.0
-    best_lo, best_hi = -math.inf, math.inf
+    primal = _Pool(lambda A: verify_primal_certificate(A, G, tol=1.0))
+    # the dual side is signed -hi; hi > screen gives -hi <= -nextafter(screen)
+    dual = _Pool(lambda A: (-verify_dual_certificate(A, G), A))
     best_gap, stalled = math.inf, 0
     it = 0
     while True:
-        lo, P = verify_primal_certificate(X, G, tol=1.0)
-        if lo > best_lo:
-            best_lo, best_primal = lo, P
+        primal.add(_primal_screen(X, iu, iv), it, X)
         M = _dual_matrix(y, n, iu, iv)
-        hi = verify_dual_certificate(M, G)
-        if hi < best_hi:
-            best_hi, best_dual = hi, M
+        dual.add(-math.nextafter(_dual_screen(M), math.inf), it, M)
         S = y[0] * np.eye(n) - M
         gap = float(np.vdot(X, S))
         if gap < best_gap / 2.0:
             best_gap, stalled = gap, 0
         else:
             stalled += 1
-        if (gap <= GAP_STOP * y[0] or stalled >= STALL or it >= max_iterations
-                or deadline is not None and time.monotonic() > deadline):
+        stop = ("gap" if gap <= GAP_STOP * y[0]
+                else "stall" if stalled >= STALL
+                else "max iterations" if it >= max_iterations
+                else "time budget" if deadline is not None
+                and time.monotonic() > deadline else None)
+        if stop:
             break
         try:
             dX, ap, dy, ad = _step(X, S, b, iu, iv)
         except np.linalg.LinAlgError:
+            stop = "breakdown"
             break
         X = X + ap * dX
         y = y + ad * dy
         it += 1
+    best_lo, best_primal = primal.drain()
+    neg_hi, best_dual = dual.drain()
+    best_hi = -neg_hi
+    logger.debug("theta: n=%d m=%d iterations=%d verified primal=%d dual=%d "
+                 "lo=%.12g hi=%.12g %.3f s stop=%s", n, m, it, primal.calls,
+                 dual.calls, best_lo, best_hi, time.monotonic() - start, stop)
     if best_lo > best_hi:
         raise ThetaError("certified bracket inverted; tolerance bookkeeping bug")
     return ThetaBracket(best_lo, best_hi, best_primal, best_dual,

@@ -323,12 +323,13 @@ def _lambda_max_certified(M):
         raise CertificateError("dual certificate has a non-finite entry")
     n = M.shape[0]
     diag = [Fraction(float(x)) for x in np.diag(M)]
+    diag_sum = sum(diag)
     g = Fraction(n + 1, 2**53 - n - 1)
     est = float(np.linalg.eigvalsh(M)[-1])
     step = n * (n + 1) * 2.0**-52 * (abs(est) + 1.0)
     while math.isfinite(est + step):
         t = Fraction(est + step)
-        c = 2 * g / (1 - g) * sum(t - d for d in diag) + Fraction(n, 2**1000)
+        c = 2 * g / (1 - g) * (n * t - diag_sum) + Fraction(n, 2**1000)
         A = -M
         A[np.diag_indices(n)] = [math.nextafter(float(t - d - c), -math.inf)
                                  for d in diag]  # float() rounds to nearest
