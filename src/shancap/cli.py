@@ -204,7 +204,12 @@ def build_parser():
              "certified theta bracket")):
         sp = sub.add_parser(verb, parents=[options, graphful], help=help_text)
         if verb == "theta":
-            sp.add_argument("--tol", type=float, default=1e-6)
+            sp.add_argument(
+                "--tol", type=float, default=1e-6,
+                help="width at which the bracket counts as converged; the "
+                     "solver stops at widths near 1e-11 to 1e-10 relative "
+                     "to theta whatever the value, so a --tol below that "
+                     "is reported not converged (and --strict exits 2)")
 
     sp = sub.add_parser("kings", parents=[solve],
                         help="king packings on a toroidal board")

@@ -123,8 +123,10 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                    vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Certified interval around the capacity of G, with per-power table.
     One seeded ``max_independent_set`` search per power, and theta, each
-    run under ``cfg.time_budget``."""
+    run under ``cfg.time_budget``.  Theta runs first, so a graph too large
+    for it raises ``ThetaError`` before any search time is spent."""
     cfg = cfg or SolverConfig()
+    bracket = lovasz_theta(G, tol=CLOSED_TOL, time_budget=cfg.time_budget)
     table = []
     provenance = []
     lower = None
@@ -143,7 +145,6 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                                "exact" if row.exact else "heuristic")
     if lower is None:
         raise ReportError("no power produced a lower bound")
-    bracket = lovasz_theta(G, tol=CLOSED_TOL, time_budget=cfg.time_budget)
     value = bracket.hi
     provenance.append(
         f"theta bracket [{bracket.lo!r}, {bracket.hi!r}]"

@@ -1,10 +1,13 @@
 import json
 import math
+import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
-from shancap.graphs import cycle, from_edges
+from shancap import report, theta
+from shancap.graphs import complete, cycle, from_edges
 from shancap.haemers import adjacency_certificate, fitting_matrix
 from shancap.kings import Board, Placement, exact_max_kings, layered_construction
 from shancap.report import (CertificateRejected, ReportError,
@@ -13,6 +16,7 @@ from shancap.report import (CertificateRejected, ReportError,
                             render_report, report_to_dict, report_to_json,
                             verify_report)
 from shancap.solvers import SolverConfig
+from shancap.theta import ThetaError
 from shancap.umbrella import VectorUmbrella, odd_cycle_umbrella
 
 import numpy as np
@@ -203,3 +207,47 @@ def test_heptagon_cube_row_under_the_benchmark_budget():
     cfg = SolverConfig(time_budget=30, node_budget=150_000, seed=0)
     row = compute_bounds(cycle(7), 3, cfg).table[2]
     assert row.k == 3 and row.alpha_best == len(row.witness) >= 30
+
+
+def test_theta_refuses_before_any_power_is_searched():
+    # 3,003 edges: a Schur matrix of order 3,004, over theta's limit
+    with mock.patch.object(report, "max_independent_set") as search:
+        with pytest.raises(ThetaError, match="m = 3003 edges"):
+            compute_bounds(complete(78), max_power=1, cfg=CFG)
+    search.assert_not_called()
+
+
+def _gnp(n, seed):
+    rng = random.Random(seed)
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.5])
+
+
+def _paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return from_edges(q, [(i, j) for i in range(q) for j in range(i + 1, q)
+                          if (j - i) % q in squares])
+
+
+def _petersen():
+    return from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+GAP_CASES = [
+    *((f"cycle:{n}", cycle(n), 2) for n in range(5, 12)),
+    ("paley:17", _paley(17), 1),
+    ("G(20,1/2) #3", _gnp(20, "G(20,1/2) #3"), 1),
+    ("G(24,1/2) #3", _gnp(24, "G(24,1/2) #3"), 1),
+    ("petersen", _petersen(), 1),
+]
+
+
+@pytest.mark.parametrize("desc, G, k", GAP_CASES,
+                         ids=[desc for desc, _, _ in GAP_CASES])
+def test_a_tighter_theta_gap_prints_the_same_report(desc, G, k, monkeypatch):
+    cfg = SolverConfig(node_budget=20_000, seed=0)
+    text = render_report(compute_bounds(G, k, cfg, desc))
+    monkeypatch.setattr(theta, "GAP_STOP", 1e-12)
+    assert render_report(compute_bounds(G, k, cfg, desc)) == text

@@ -45,6 +45,14 @@ def test_random_24_vertex_graph_converges():
     assert len(max_independent_set(G).vertices) <= b.hi
 
 
+def test_random_24_vertex_graph_stops_within_18_iterations():
+    # pushed on to a gap of 1e-12 the loop took 24 iterations and stopped
+    # on a stall at a width of 1.3e-10
+    b = lovasz_theta(gnp(24, "G(24,1/2) #3"))
+    assert b.iterations <= 18
+    assert b.width <= 1e-9
+
+
 @pytest.mark.parametrize("G", [cycle(n) for n in range(5, 14)]
                          + [paley(13), paley(17)], ids=repr)
 def test_vertex_transitive_theta_times_complement_is_n(G):
