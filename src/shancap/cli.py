@@ -436,7 +436,7 @@ def _dispatch(args):
 def _guarded_exact_kings(board, cfg, args):
     """(result, skipped): ``exact_max_kings``, or on a board declared out of
     the default budget (more than 130 cells, no --force-exact) the
-    heuristic incumbent with its theta cap instead of a stalled search."""
+    heuristic incumbent with its board's cap instead of a stalled search."""
     if board.cells > 130 and not args.force_exact:
         return heuristic_max_kings(board, cfg, args.vertex_limit), True
     return exact_max_kings(board, cfg, args.vertex_limit), False

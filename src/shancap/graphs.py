@@ -9,6 +9,7 @@ vertex of ``strong_power(G, k)`` can be read back as a k-tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 DEFAULT_VERTEX_LIMIT = 100_000
@@ -293,6 +294,39 @@ def independent_in_power(G, k, cells):
         if clash:
             return i, i + (clash & -clash).bit_length()
     return None
+
+
+def clique_cover_value(G, cover):
+    """Σw, as a Fraction, of a fractional clique cover of G: ``cover`` is a
+    sequence of (clique, weight) pairs, each weight an int or Fraction.
+
+    Raises GraphError unless every weight is >= 0, every support set is a
+    clique of G and every vertex lies in cliques of total weight >= 1.
+    Then Σw bounds α*(G) = ρ(G), hence α(G): for x >= 0 with weight at
+    most 1 on every clique, Σ_v x_v <= Σ_C w_C Σ_{v in C} x_v <= Σ_C w_C.
+    Exact arithmetic on ``G.adj`` only."""
+    total = Fraction(0)
+    load = [Fraction(0)] * G.n
+    for clique, w in cover:
+        if not isinstance(w, (int, Fraction)):
+            raise GraphError(f"weight {w!r} is not an int or a Fraction")
+        if w < 0:
+            raise GraphError(f"weight {w} of {clique!r} is negative")
+        clique = tuple(clique)
+        if not all(isinstance(v, int) and 0 <= v < G.n for v in clique):
+            raise GraphError(f"{clique!r} is not a set of vertices of G")
+        for i, u in enumerate(clique):
+            for v in clique[i + 1:]:
+                if not G.adj[u] >> v & 1:
+                    raise GraphError(f"{clique!r} is not a clique: {u} and "
+                                     f"{v} are not adjacent")
+        for v in clique:
+            load[v] += w
+        total += w
+    for v, covered in enumerate(load):
+        if covered < 1:
+            raise GraphError(f"vertex {v} is covered {covered} < 1 times")
+    return total
 
 
 def disjoint_union(G, H, vertex_limit=DEFAULT_VERTEX_LIMIT):

@@ -2,11 +2,18 @@
 constructions, and board rendering.
 
 A king packing of the p^d torus is an independent set of C_p^d, the d-th
-strong power of the p-cycle.  Two facts about strong products drive the
-search:
+strong power of the p-cycle.  Every board is capped by the smaller of two
+proven bounds, and both rest on facts about strong products:
 
 - θ multiplies under the strong product (Lovász 1979), so
   ⌊θ(C_p)^d⌋, from the certified upper end of θ(C_p), caps every packing.
+- α(G ⊠ H) <= α*(G)·α(H) (Rosenfeld, Proc. AMS 1967).  One fractional
+  clique cover of C_p, weight ½ on every edge, checked exactly by
+  ``clique_cover_value``, gives α*(C_p) <= p/2 and α(C_p) <= ⌊p/2⌋;
+  products of covers cover the strong power, so α*(C_p^(d-1)) <=
+  (p/2)^(d-1), and with G = C_p^(d-1), H = C_p every packing holds at
+  most ⌊(p/2)^(d-1)·⌊p/2⌋⌋ kings.  For odd p at d = 2 that is α(C_p^2)
+  itself (Hales, JCT B 1973): 27 on (11, 2), where the θ cap is 29.
 - Independent sets multiply too: packings of the (p, a) and (p, b) tori
   give one of the (p, a + b) torus (``product_placement``).  Stacking a
   packing on the floors 0, 2, 4, ... of one more axis
@@ -25,6 +32,7 @@ search.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,9 +40,12 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .graphs import (DEFAULT_VERTEX_LIMIT, ProductIndex, check_vertex_limit,
-                     cycle, independent_in_power, strong_power, strong_product)
+                     clique_cover_value, cycle, independent_in_power,
+                     strong_power, strong_product)
 from .solvers import SolverConfig, _run_engine, heuristic_independent_set
 from .theta import lovasz_theta
+
+logger = logging.getLogger(__name__)
 
 
 class PlacementError(ValueError):
@@ -134,10 +145,22 @@ def _theta_cap(p, d, time_budget=None):
     return math.floor(Fraction(_theta_cycle_hi(p, time_budget)) ** d)
 
 
+def _rosenfeld_cap(p, d):
+    """⌊(p/2)^(d-1)·⌊p/2⌋⌋, in exact arithmetic: no packing of the p^d
+    torus has more kings.  p/2 is the value of the edge cover of C_p (weight
+    ½ on every edge), checked by ``clique_cover_value``; see the module
+    docstring for Rosenfeld's bound and the product of covers."""
+    rho = clique_cover_value(cycle(p), [((i, (i + 1) % p), Fraction(1, 2))
+                                        for i in range(p)])
+    return math.floor(rho ** (d - 1) * math.floor(rho))
+
+
 def capped_result(pl, time_budget=None):
-    """``pl`` as a result whose upper bound is the θ cap of its board; it is
-    proven optimal when it meets the cap."""
-    cap = _theta_cap(pl.board.p, pl.board.d, time_budget)
+    """``pl`` as a result whose upper bound is the cap of its board, the
+    smaller of the θ cap and the Rosenfeld cap; it is proven optimal when
+    it meets the cap."""
+    p, d = pl.board.p, pl.board.d
+    cap = min(_theta_cap(p, d, time_budget), _rosenfeld_cap(p, d))
     return KingSearchResult(pl, len(pl) >= cap, cap)
 
 
@@ -218,8 +241,8 @@ def heuristic_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     found for (p, d - a) and (p, a), a = 1..floor(d/2); each smaller board
     is solved once.  On one axis the floor packing is optimal.
 
-    The upper bound is the θ cap ⌊θ(C_p)^d⌋, and the result is proven
-    optimal when the packing meets it."""
+    The upper bound is the board's cap, min(⌊θ(C_p)^d⌋, ⌊(p/2)^(d-1)·
+    ⌊p/2⌋⌋), and the result is proven optimal when the packing meets it."""
     cfg = cfg or SolverConfig()
     pl, _ = _heuristic_placement(board, cfg, vertex_limit)
     return capped_result(pl, cfg.time_budget)
@@ -250,12 +273,15 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
 
     The search runs on the heuristic's C_p^d, a cell being the vertex so
     labelled, from ``heuristic_max_kings``'s packing, and stops once its
-    incumbent meets the θ cap ⌊θ(C_p)^d⌋, which proves it optimal (with
-    no search node when the seed meets it, as 5 * 5 does on (5, 4)).  The
+    incumbent meets the board's cap, the smaller of the θ cap ⌊θ(C_p)^d⌋
+    and the Rosenfeld cap ⌊(p/2)^(d-1)·⌊p/2⌋⌋, which proves it optimal
+    (with no search node when the seed meets it, as 5 * 5 does on (5, 4);
+    on (11, 2) the Rosenfeld cap 27 ends the search at the first 27).  The
     reported upper bound never exceeds the cap.  Symmetry breaking: the
     first king is fixed at the origin, and the branching level right below
     it prunes whole orbits of the origin stabilizer.  Cross-checked in
-    tests against the generic solver.
+    tests against the generic solver.  Logs one debug line per search:
+    the board, both caps, the one that binds and the seed's size.
     """
     cfg = cfg or SolverConfig()
     incumbent, G = _heuristic_placement(board, cfg, vertex_limit)
@@ -267,11 +293,18 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
             mask |= 1 << ids[cell]
         return mask
 
+    theta_cap = _theta_cap(board.p, board.d, cfg.time_budget)
+    rosenfeld_cap = _rosenfeld_cap(board.p, board.d)
+    logger.debug("king search: board=(%d,%d) theta cap=%d rosenfeld cap=%d "
+                 "binds=%s seed=%d", board.p, board.d, theta_cap,
+                 rosenfeld_cap,
+                 "theta" if theta_cap <= rosenfeld_cap else "rosenfeld",
+                 len(incumbent))
     # canonical, so the incumbent contains the origin and seeds the search
     verts, proven, upper, _ = _run_engine(
         G, cfg, forced=(ids[(0,) * board.d],), orbit_fn=orbit_mask,
         incumbent=tuple(ids[c] for c in incumbent.cells),
-        cap=_theta_cap(board.p, board.d, cfg.time_budget))
+        cap=min(theta_cap, rosenfeld_cap))
     pl = canonical_placement(Placement(board, tuple(G.labels[v] for v in verts)))
     ok, pair = verify_placement(pl)
     if not ok:

@@ -133,13 +133,13 @@ def _direction(X, Z, H, RZ, rp, iu, iv):
 
 def _step(X, S, b, iu, iv):
     """One Mehrotra predictor-corrector step: (dX, primal step length, dy,
-    dual step length).  Raises LinAlgError when X, S or the Schur matrix is
-    no longer numerically positive definite, or the step is not finite."""
+    dual step length).  Raises LinAlgError when X or S is no longer
+    numerically positive definite, the Schur matrix is singular, or the
+    step is not finite."""
     n = X.shape[0]
     Xi, Si = _inverse_factor(X), _inverse_factor(S)
     Z = Si.T @ Si
     H = _schur(X, Z, iu, iv)
-    np.linalg.cholesky(H)  # the definiteness test; the solves use H itself
     rp = b - _constraints(X, iu, iv)
     mu = float(np.vdot(X, S)) / n
     # predictor: the affine-scaling direction, aimed at mu = 0 (R = -XS)
@@ -216,8 +216,8 @@ def lovasz_theta(G, tol=1e-6, max_iterations=100, time_budget=None):
     Interior-point iterations (see the module docstring) stop when the
     duality gap <X, t*I - M> falls to ``GAP_STOP`` (1e-10) relative to t;
     when ``STALL`` iterations in a row fail to halve the smallest gap so
-    far; when X, S or the Schur matrix is no longer numerically positive
-    definite; after ``max_iterations`` iterations; or once
+    far; when X or S is no longer numerically positive definite or the
+    Schur matrix is singular; after ``max_iterations`` iterations; or once
     ``time_budget`` seconds (None: no limit) have passed.  The clock
     is read once per iteration, so the budget is overrun by at most one
     iteration (which verifies at most one iterate per side) and the

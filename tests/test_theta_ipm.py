@@ -3,6 +3,7 @@ theta(G) * theta(complement G) = n on vertex-transitive graphs, degenerate
 inputs, the time budget, the size guard, multiplicativity under the strong
 product, and numpy as the only runtime dependency."""
 
+import itertools
 import json
 import os
 import random
@@ -141,3 +142,34 @@ def test_time_budget_must_be_positive(budget, capsys):
         lovasz_theta(cycle(5), time_budget=budget)
     assert run(["theta", "cycle:5", "--time-budget", str(budget)]) == 1
     assert "time budget must be positive" in capsys.readouterr().err
+
+
+def hypercube(k):
+    n = 1 << k
+    return from_edges(n, [(u, u ^ 1 << i) for u in range(n) for i in range(k)
+                          if u < u ^ 1 << i])
+
+
+def complete_multipartite(*parts):
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(part)
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if part[u] != part[v]])
+
+
+def kneser(n, k):
+    sets = [frozenset(s) for s in itertools.combinations(range(n), k)]
+    return from_edges(len(sets), [(i, j) for i in range(len(sets))
+                                  for j in range(i + 1, len(sets))
+                                  if not sets[i] & sets[j]])
+
+
+@pytest.mark.parametrize("G, value", [
+    (hypercube(3), 4), (hypercube(4), 8), (complete_multipartite(3, 3, 3), 3),
+    (kneser(6, 2), 5)])
+def test_degenerate_optima_converge_to_a_narrow_bracket(G, value):
+    # an optimum with a singular Schur matrix in the limit: the loop runs on
+    # while LU still solves, instead of stopping at a definiteness test
+    b = lovasz_theta(G)
+    assert b.lo <= value <= b.hi
+    assert b.width <= 1e-9
