@@ -48,15 +48,29 @@ class Graph:
             raise GraphError("graph needs at least one vertex")
         if len(self.adj) != self.n:
             raise GraphError("adjacency row count != n")
+        adj = self.adj
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        # every pair (v, u) above the diagonal needs its mirror (u, v) below
+        # it; once each has one, equal counts leave no pair below unmatched
+        above = total = 0
+        for v, row in enumerate(adj):
             if row >> v & 1:
                 raise GraphError(f"self-loop at vertex {v}")
             if row & ~full:
                 raise GraphError(f"adjacency row {v} has out-of-range bits")
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise GraphError(f"adjacency not symmetric at ({v},{u})")
+            total += row.bit_count()
+            up = row >> v  # bit i is vertex v + i; bit 0 is clear
+            above += up.bit_count()
+            while up:
+                i = up.bit_length() - 1
+                if not adj[v + i] >> v & 1:
+                    raise GraphError(
+                        f"adjacency not symmetric at ({v},{v + i})")
+                up ^= 1 << i
+        if 2 * above != total:
+            v, u = next((v, u) for v, row in enumerate(adj) for u in bits(row)
+                        if not adj[u] >> v & 1)
+            raise GraphError(f"adjacency not symmetric at ({v},{u})")
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise GraphError("label count != n")

@@ -19,6 +19,13 @@ of its peels takes the same vertices from extension sets that only lost R
 2013).  Branching on b removes N[b], so the child peels only from the
 first class meeting N(b) on.  The covers are the ones peeled from
 scratch, so the search is the same node for node.
+The peels themselves are memoized.  A class peeled from the remaining set
+rem starts at its top vertex t, and every later step of the peel stays
+inside rem ∩ N(t), so (t, rem ∩ N(t)), written as the one mask
+rem ∩ N[t] whose top bit is t, fixes the class.  On these powers the same
+mask comes back again and again (about 99% of the peels on C7^3), so each
+search keeps a dict from that mask to its class; it is emptied when it
+reaches ``_SOLVED_LIMIT`` entries, like the replay table below.
 Repeated subtrees are replayed, the classic memo of maximum independent
 set (Robson, J. Algorithms 7, 1986): on a vertex-transitive power the
 same candidate set comes back thousands of times.  Each search keeps a
@@ -59,8 +66,9 @@ logger = logging.getLogger(__name__)
 
 _ORDERINGS = ("degree", "degeneracy", "label")
 _RESTARTS = 10
-# entries of one search's table of solved subtrees; it is emptied when
-# full, which holds it to about a megabyte
+# entries of one search's table of solved subtrees, and of its memo of
+# peeled classes; each is emptied when full, which holds it to about a
+# megabyte
 _SOLVED_LIMIT = 8192
 
 
@@ -234,12 +242,17 @@ class _MISEngine:
     budget and it is not searched (see ``expand`` for why that is exact).
     The orbital level is never stored, nor a subtree an exception ends;
     the table is emptied when it reaches ``_SOLVED_LIMIT`` entries, and
-    ``clears`` counts those.  The vertex tables ``bit``, ``adj`` and
-    ``nonadj`` are indexed by ``bit_length``: entry b describes engine bit
-    b - 1, so a peeled top bit costs one ``bit_length`` and two table
-    reads.  ``cur`` and ``best_set`` hold such
-    indices b; ``inherited`` and ``classes`` count the cover classes kept
-    from an earlier cover and all cover classes.
+    ``clears`` counts those.  ``peels`` maps rem & ``closed``[t] to the
+    class peeled from rem, t being rem's top bit: the peel takes t, then
+    only ever looks at rem ∩ N(t), so the key fixes the class and its top
+    bit names t.  It lives for one search, is emptied (``peel_clears``)
+    when it reaches ``_SOLVED_LIMIT`` entries, and ``peel_misses`` counts
+    the classes peeled bit by bit.  The vertex tables ``bit``, ``adj``,
+    ``closed`` (N[v]) and ``nonadj`` are indexed by ``bit_length``: entry
+    b describes engine bit b - 1, so a peeled top bit costs one
+    ``bit_length`` and two table reads.  ``cur`` and ``best_set`` hold
+    such indices b; ``inherited`` and ``classes`` count the cover classes
+    kept from an earlier cover and all cover classes.
     """
 
     def __init__(self, rows, cfg, cap=None):
@@ -250,6 +263,7 @@ class _MISEngine:
         self.adj = [0] + list(rows)
         self.nonadj = [0] + [~(row | (1 << v)) & full
                              for v, row in enumerate(rows)]
+        self.closed = [0] + [row | (1 << v) for v, row in enumerate(rows)]
         self.best = 0
         self.best_set = []
         self.cur = []
@@ -260,6 +274,9 @@ class _MISEngine:
         self.n = n
         self.solved = {}  # key of a plain subtree -> nodes of the subtree
         self.clears = 0
+        self.peels = {}  # rem & N[t] -> the class peeled from it
+        self.peel_misses = 0
+        self.peel_clears = 0
 
     def seed_incumbent(self, vertices):
         if len(vertices) > self.best:
@@ -284,11 +301,10 @@ class _MISEngine:
         of this cover too, in the same positions: every vertex their peels
         took is still in cand, and every extension set only lost ``gone``,
         so each peel repeats itself vertex for vertex.  Those classes are
-        kept, and only the rest of cand is peeled."""
-        # hot path: the bit walk is written out instead of calling ``bits``;
-        # ext stays inside rem because no row contains its own vertex
-        adj = self.adj
-        bit = self.bit
+        kept, and only the rest of cand is peeled, each class looked up in
+        ``peels`` under rem & N[t] first (see the class docstring)."""
+        closed = self.closed
+        peels = self.peels
         classes = []
         rem = cand
         for cls in prior:
@@ -298,16 +314,35 @@ class _MISEngine:
             rem ^= cls
         self.inherited += len(classes)
         while rem:
-            cls = 0
-            ext = rem
-            while ext:
-                b = ext.bit_length()
-                cls |= bit[b]
-                ext &= adj[b]
+            key = rem & closed[rem.bit_length()]
+            cls = peels.get(key)
+            if cls is None:
+                cls = self._peel(key)
             rem ^= cls
             classes.append(cls)
         self.classes += len(classes)
         return classes
+
+    def _peel(self, key):
+        """The class peeled from ``key`` top bit first, stored in ``peels``
+        (emptied first when it holds ``_SOLVED_LIMIT`` entries)."""
+        # the bit walk is written out instead of calling ``bits``; ext stays
+        # inside key because no row contains its own vertex
+        adj = self.adj
+        bit = self.bit
+        cls = 0
+        ext = key
+        while ext:
+            b = ext.bit_length()
+            cls |= bit[b]
+            ext &= adj[b]
+        peels = self.peels
+        if len(peels) >= _SOLVED_LIMIT:
+            peels.clear()
+            self.peel_clears += 1
+        peels[key] = cls
+        self.peel_misses += 1
+        return cls
 
     def expand(self, cand, size, orbit=None, prior=(), gone=0):
         """Search below the current set ``self.cur`` of ``size`` vertices;
@@ -394,7 +429,8 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
     per search: n, nodes, the nodes expanded and replayed (they sum to
     nodes), the entries left in the table of solved subtrees and its
     clears, seconds, expanded nodes/s, the share of cover classes kept from
-    an earlier cover, and the stop reason.
+    an earlier cover, the share of the other classes found in the peel
+    memo and its clears, and the stop reason.
     Returns (vertices, proven, upper_bound, nodes)."""
     _check_vertices(G, forced, "forced")
     _check_vertices(G, incumbent, "incumbent")
@@ -427,12 +463,15 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
     seconds = time.monotonic() - start
     nodes = eng.budget.nodes
     expanded = nodes - eng.budget.charged
+    peeled = eng.classes - eng.inherited
     logger.debug("MIS search: n=%d nodes=%d expanded=%d replayed=%d "
                  "table=%d clears=%d %.3f s %.0f nodes/s inherited=%.0f%% "
-                 "stop=%s", n, nodes, expanded, eng.budget.charged,
-                 len(eng.solved), eng.clears, seconds,
-                 expanded / seconds if seconds > 0 else 0.0,
-                 100 * eng.inherited / max(eng.classes, 1), reason)
+                 "peel_hits=%.0f%% peel_clears=%d stop=%s", n, nodes,
+                 expanded, eng.budget.charged, len(eng.solved), eng.clears,
+                 seconds, expanded / seconds if seconds > 0 else 0.0,
+                 100 * eng.inherited / max(eng.classes, 1),
+                 100 * (peeled - eng.peel_misses) / max(peeled, 1),
+                 eng.peel_clears, reason)
     upper = eng.best if proven else min(max(eng.best, root_ub), eng.cap)
     return tuple(sorted(n - b for b in eng.best_set)), proven, upper, nodes
 
@@ -493,7 +532,8 @@ def heuristic_independent_set(G, cfg=None):
     n = G.n
     adj = G.adj
     full = (1 << n) - 1
-    nonadj_closed = [~(adj[v] | (1 << v)) & full for v in range(n)]
+    closed_nb = [adj[v] | (1 << v) for v in range(n)]
+    nonadj_closed = [~c & full for c in closed_nb]
     best = ()
     for restart in range(_RESTARTS):
         if restart and time.monotonic() > deadline:
@@ -505,19 +545,20 @@ def heuristic_independent_set(G, cfg=None):
         for v in order:
             if not blocked >> v & 1:
                 sol.append(v)
-                blocked |= adj[v] | (1 << v)
-        sol_mask = 0
-        for v in sol:
-            sol_mask |= 1 << v
+                blocked |= closed_nb[v]
         improved = True
         while improved:
             improved = False
-            for v in list(sol):
-                rest = sol_mask & ~(1 << v)
-                closed = rest
-                for u in bits(rest):
-                    closed |= adj[u]
-                free = full & ~closed & ~(1 << v)
+            # N[sol - v] for the round's i-th vertex v is done | after[i + 1]:
+            # ``after`` ORs N[] over the rest of the round's snapshot, which
+            # stays in sol, and ``done`` over the rest of sol
+            snapshot = list(sol)
+            after = [0] * (len(snapshot) + 1)
+            for i in range(len(snapshot) - 1, -1, -1):
+                after[i] = after[i + 1] | closed_nb[snapshot[i]]
+            done = 0
+            for i, v in enumerate(snapshot):
+                free = full & ~(done | after[i + 1]) & ~(1 << v)
                 # two mutually non-adjacent replacements beat keeping v
                 found = None
                 for a in bits(free):
@@ -528,17 +569,15 @@ def heuristic_independent_set(G, cfg=None):
                 if found:
                     sol.remove(v)
                     sol.extend(found)
-                    sol_mask = (sol_mask & ~(1 << v)) | (1 << found[0]) | (1 << found[1])
+                    done |= closed_nb[found[0]] | closed_nb[found[1]]
                     improved = True
-            # plain additions
-            closed = sol_mask
-            for u in bits(sol_mask):
-                closed |= adj[u]
-            free = full & ~closed
+                else:
+                    done |= closed_nb[v]
+            # plain additions; ``done`` is now N[sol]
+            free = full & ~done
             for a in bits(free):
                 if free >> a & 1:  # free shrinks as vertices join
                     sol.append(a)
-                    sol_mask |= 1 << a
                     free &= nonadj_closed[a]
                     improved = True
         if len(sol) > len(best):
