@@ -18,8 +18,8 @@ from .graphs import (DEFAULT_VERTEX_LIMIT, GraphError, complement,
                      conormal_product, disjoint_union, generate,
                      strong_power, strong_product)
 from .haemers import fitting_from_json, haemers_certificate, verify_fitting
-from .kings import (Board, canonical_placement, capped_result,
-                    exact_max_kings, heuristic_max_kings,
+from .kings import (RENDER_FORMATS, Board, canonical_placement,
+                    capped_result, exact_max_kings, heuristic_max_kings,
                     layered_construction, placement_from_json, render_board)
 from .report import (compute_bounds, lockin_to_dict, lockin_scan,
                      render_lockin, render_report, report_to_dict)
@@ -148,10 +148,13 @@ _OPTIONS = {
     "seed": dict(type=int, default=0),
     "strict": dict(action="store_true",
                    help="exit 2 when any result is not proven optimal"),
-    "time-budget": dict(type=float, default=60.0),
-    "node-budget": dict(type=int, default=50_000_000),
+    "time-budget": dict(type=float, default=SolverConfig.time_budget),
+    "node-budget": dict(type=int, default=SolverConfig.node_budget),
     "vertex-limit": dict(type=int, default=DEFAULT_VERTEX_LIMIT),
 }
+
+_PRODUCTS = {"strong": strong_product, "conormal": conormal_product,
+             "union": disjoint_union}
 
 
 def _options(*names):
@@ -177,8 +180,7 @@ def build_parser():
 
     sp = sub.add_parser("gen", parents=[_options("vertex-limit"), graphful],
                         help="generate/compose a graph and write it out")
-    sp.add_argument("--format", choices=("graph6", "dimacs", "json"),
-                    default="json")
+    sp.add_argument("--format", choices=graphio.FORMATS, default="json")
     sp.add_argument("-o", "--output")
 
     sub.add_parser("complement", parents=[io, graphful],
@@ -186,7 +188,7 @@ def build_parser():
 
     sp = sub.add_parser("product", parents=[io],
                         help="strong/conormal/union product of two specs")
-    sp.add_argument("kind", choices=("strong", "conormal", "union"))
+    sp.add_argument("kind", choices=_PRODUCTS)
     sp.add_argument("left")
     sp.add_argument("right")
 
@@ -217,7 +219,7 @@ def build_parser():
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--method", choices=("exact", "layered", "heuristic"),
                     default="exact")
-    sp.add_argument("--render", choices=("ascii", "svg"))
+    sp.add_argument("--render", choices=RENDER_FORMATS)
     sp.add_argument("--force-exact", action="store_true",
                     help="run the exact search even on boards declared out "
                          "of the default budget")
@@ -251,7 +253,7 @@ def build_parser():
 
     sp = sub.add_parser("render", help="draw a placement JSON file")
     sp.add_argument("file")
-    sp.add_argument("--format", choices=("ascii", "svg"), default="ascii")
+    sp.add_argument("--format", choices=RENDER_FORMATS, default="ascii")
     return p
 
 
@@ -297,9 +299,8 @@ def _dispatch(args):
     if verb == "product":
         L = graph_spec_parse(args.left, vertex_limit=args.vertex_limit)
         R = graph_spec_parse(args.right, vertex_limit=args.vertex_limit)
-        op = {"strong": strong_product, "conormal": conormal_product,
-              "union": disjoint_union}[args.kind]
-        print(graphio.write_json(op(L, R, vertex_limit=args.vertex_limit)))
+        print(graphio.write_json(
+            _PRODUCTS[args.kind](L, R, vertex_limit=args.vertex_limit)))
         return EXIT_OK
 
     if verb == "power":

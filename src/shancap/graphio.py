@@ -223,29 +223,27 @@ def parse_json(text, vertex_limit=DEFAULT_VERTEX_LIMIT):
 
 # -- format dispatch ----------------------------------------------------------
 
-_FORMATS = ("graph6", "dimacs", "json")
+# format name -> (parser, writer)
+FORMATS = {"graph6": (parse_graph6, write_graph6),
+           "dimacs": (parse_dimacs, write_dimacs),
+           "json": (parse_json, write_json)}
+
+
+def _codec(fmt):
+    if fmt not in FORMATS:
+        raise GraphFormatError(
+            f"unknown format {fmt!r}; expected one of {tuple(FORMATS)}")
+    return FORMATS[fmt]
 
 
 def write_graph(G, fmt):
-    if fmt == "graph6":
-        return write_graph6(G)
-    if fmt == "dimacs":
-        return write_dimacs(G)
-    if fmt == "json":
-        return write_json(G)
-    raise GraphFormatError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
+    return _codec(fmt)[1](G)
 
 
 def parse_graph(data, fmt, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Parse ``data`` in ``fmt``; a graph declaring more than
     ``vertex_limit`` vertices is refused before it is built."""
-    if fmt == "graph6":
-        return parse_graph6(data, vertex_limit)
-    if fmt == "dimacs":
-        return parse_dimacs(data, vertex_limit)
-    if fmt == "json":
-        return parse_json(data, vertex_limit)
-    raise GraphFormatError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
+    return _codec(fmt)[0](data, vertex_limit)
 
 
 def sniff_format(path, data):

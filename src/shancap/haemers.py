@@ -92,9 +92,6 @@ class FittingReport:
     violation: object  # None, or (kind, position)
     convention: str = CONVENTION
 
-    def __bool__(self):
-        return self.fits
-
 
 def verify_fitting(B, G):
     """First violation wins: a zero diagonal entry, or a nonzero entry at a

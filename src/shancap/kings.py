@@ -155,12 +155,16 @@ def _rosenfeld_cap(p, d):
     return math.floor(rho ** (d - 1) * math.floor(rho))
 
 
+def _caps(p, d, time_budget=None):
+    """(θ cap, Rosenfeld cap) of the p^d torus; its cap is the smaller."""
+    return _theta_cap(p, d, time_budget), _rosenfeld_cap(p, d)
+
+
 def capped_result(pl, time_budget=None):
     """``pl`` as a result whose upper bound is the cap of its board, the
     smaller of the θ cap and the Rosenfeld cap; it is proven optimal when
     it meets the cap."""
-    p, d = pl.board.p, pl.board.d
-    cap = min(_theta_cap(p, d, time_budget), _rosenfeld_cap(p, d))
+    cap = min(_caps(pl.board.p, pl.board.d, time_budget))
     return KingSearchResult(pl, len(pl) >= cap, cap)
 
 
@@ -293,8 +297,7 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
             mask |= 1 << ids[cell]
         return mask
 
-    theta_cap = _theta_cap(board.p, board.d, cfg.time_budget)
-    rosenfeld_cap = _rosenfeld_cap(board.p, board.d)
+    theta_cap, rosenfeld_cap = _caps(board.p, board.d, cfg.time_budget)
     logger.debug("king search: board=(%d,%d) theta cap=%d rosenfeld cap=%d "
                  "binds=%s seed=%d", board.p, board.d, theta_cap,
                  rosenfeld_cap,
@@ -343,11 +346,9 @@ def render_board(pl, fmt="ascii"):
     The frame marks that rows and columns wrap around."""
     if pl.board.d > 3:
         raise PlacementError("rendering supports d <= 3 only")
-    if fmt == "ascii":
-        return _render_ascii(pl)
-    if fmt == "svg":
-        return _render_svg(pl)
-    raise PlacementError(f"unknown render format {fmt!r}")
+    if fmt not in RENDER_FORMATS:
+        raise PlacementError(f"unknown render format {fmt!r}")
+    return RENDER_FORMATS[fmt](pl)
 
 
 def _layers(pl):
@@ -413,3 +414,6 @@ def _render_svg(pl):
                          f'fill="black"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+RENDER_FORMATS = {"ascii": _render_ascii, "svg": _render_svg}

@@ -116,19 +116,11 @@ class IndependentSet:
     proven_optimal: bool
     upper_bound: int
 
-    @property
-    def size(self):
-        return len(self.vertices)
-
 
 @dataclass(frozen=True)
 class CliqueCover:
     parts: tuple
     proven_optimal: bool = True
-
-    @property
-    def size(self):
-        return len(self.parts)
 
 
 def is_independent_set(G, vertices):
@@ -501,12 +493,14 @@ def max_independent_set(G, cfg=None):
     return result
 
 
-def _greedy_independent(G):
-    """Deterministic min-degree greedy; cheap incumbent for pruning."""
+def _greedy_independent(G, start=None):
+    """Deterministic min-degree greedy, from ``start`` when given; cheap
+    incumbent for pruning."""
     alive = (1 << G.n) - 1
     out = []
     while alive:
-        v = _min_degree(G.adj, alive)
+        v = _min_degree(G.adj, alive) if start is None else start
+        start = None
         out.append(v)
         alive &= ~(G.adj[v] | (1 << v))
     return out
@@ -633,21 +627,6 @@ def _greedy_coloring(adj, n):
     return classes
 
 
-def _greedy_clique(adj, n):
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    best = 0
-    for start in order[: min(n, 8)]:
-        mask = 1 << start
-        cand = adj[start]
-        while cand:
-            pick = max(bits(cand), key=lambda v: (adj[v] & cand).bit_count())
-            mask |= 1 << pick
-            cand &= adj[pick]
-        if mask.bit_count() > best.bit_count():
-            best = mask
-    return best
-
-
 def _color_exact(adj, n, k, clique_mask, budget):
     """Backtracking k-coloring; the seed clique is pre-colored 0,1,2,...
     ``budget`` (a ``_Budget``) is ticked on every node; returns list of
@@ -697,8 +676,12 @@ def clique_cover_number(G, cfg=None):
     adj = H.adj
     greedy_classes = _greedy_coloring(adj, n)
     ub = len(greedy_classes)
-    clique_mask = _greedy_clique(adj, n)
-    lb = clique_mask.bit_count()
+    # a clique of the complement: the largest greedy independent set of G
+    # from its 8 lowest-degree vertices
+    starts = sorted(range(n), key=lambda v: (G.adj[v].bit_count(), v))[:8]
+    clique = max((_greedy_independent(G, v) for v in starts), key=len)
+    clique_mask = sum(1 << v for v in clique)
+    lb = len(clique)
     best_classes = greedy_classes
     proven = lb == ub
     budget = _Budget(cfg.node_budget, cfg.time_budget)

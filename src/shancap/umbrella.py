@@ -85,9 +85,6 @@ class UmbrellaReport:
     max_orthogonality_residual: float
     value: float = math.inf  # certified; infinite unless valid
 
-    def __bool__(self):
-        return self.valid
-
 
 @dataclass(frozen=True)
 class PurifyResult:
