@@ -137,6 +137,9 @@ def _cfg(args):
 
 
 def _graph_arg(args):
+    if args.graph and args.graph_pos:
+        raise SpecParseError(f"two graph specs given ({args.graph_pos!r} and "
+                             f"--graph {args.graph!r}); give one")
     spec = args.graph if args.graph else args.graph_pos
     if not spec:
         raise SpecParseError("a graph spec is required (positional or --graph)")
@@ -426,9 +429,6 @@ def _dispatch(args):
             pl = placement_from_json(fh.read())
         print(render_board(pl, args.format), end="")
 
-    else:
-        return _fail(f"unknown verb {verb!r}")
-
     if degraded and args.strict:
         return EXIT_DEGRADED
     return EXIT_OK
@@ -461,14 +461,12 @@ def _umbrella(args):
               "bounds alpha and the capacity" if rep.valid else
               f"umbrella INVALID for {spec}: {rep.violations[:5]}")
         return EXIT_OK if rep.valid else EXIT_INVALID
-    if args.action == "tensor":
-        with open(args.left) as fh:
-            a = umbrella_from_json(fh.read())
-        with open(args.right) as fh:
-            b = umbrella_from_json(fh.read())
-        _write_out(args, umbrella_to_json(tensor_umbrella(a, b)))
-        return EXIT_OK
-    return _fail(f"unknown umbrella action {args.action!r}")
+    with open(args.left) as fh:  # tensor, the last of the three actions
+        a = umbrella_from_json(fh.read())
+    with open(args.right) as fh:
+        b = umbrella_from_json(fh.read())
+    _write_out(args, umbrella_to_json(tensor_umbrella(a, b)))
+    return EXIT_OK
 
 
 def main():

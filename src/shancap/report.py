@@ -2,7 +2,16 @@
 
 Lower bounds come from independent sets in strong powers (value is the
 k-th root of the witness size); the upper bound is theta's ``hi``, unless an
-imported certificate proves less.  rho and sigma are not computed: theta <=
+imported certificate proves less.  Each power k gets the seeded generic
+search; a row it leaves unproven also gets the invariant search: the
+independent sets of G^k that are unions of orbits of a group, found as
+maximum-weight independent sets of the orbit graph (Mathew & Östergård,
+Des. Codes Cryptogr. 2017).  The group is generated by the cyclic shift
+of the k coordinates and, when v -> -v mod n is an automorphism of G,
+the diagonal negation; on C7^3 it reaches 33, the known alpha, where the
+generic search stops at 30.  The row keeps the generic set unless the
+invariant one is strictly larger, and then names the group as its method
+and stays unproven.  rho and sigma are not computed: theta <=
 rho <= sigma always holds, so neither can tighten the interval.  The theta
 bracket is computed once on the base graph; it already bounds every power
 because it multiplies.  Every reported bound carries a machine-checkable
@@ -31,11 +40,12 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
 
-from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError,
-                     VertexLimitError, independent_in_power, strong_power)
+from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError, ProductIndex,
+                     VertexLimitError, bits, independent_in_power,
+                     strong_power)
 from .haemers import FittingError, FittingMatrix, haemers_certificate
 from .kings import Placement
-from .solvers import SolverConfig, max_independent_set
+from .solvers import SolverConfig, _run_engine, max_independent_set
 from .theta import ThetaBracket, lovasz_theta
 from .umbrella import (CertificateError, DensityUmbrella, VectorUmbrella,
                        verify_dual_certificate, verify_umbrella)
@@ -60,6 +70,7 @@ class PowerRow:
     root: float
     exact: bool
     witness: tuple
+    method: str  # "exact", "heuristic" or "invariant under <group>"
 
 
 @dataclass(frozen=True)
@@ -111,20 +122,100 @@ def _upper_display(value):
     return f"{_round_out(value, 7):.7g}"
 
 
+def _power_group(G, k):
+    """(generators, name) of the group the invariant search uses on G^k,
+    each generator a map of coordinate tuples: the cyclic shift of the k
+    coordinates, joined by the diagonal negation v -> -v mod n when that is
+    an automorphism of G other than the identity (checked on ``G.adj``).
+    The two commute, so the group's order is the product of theirs."""
+    n = G.n
+    gens, names, order = [], [], 1
+    if k > 1:
+        gens.append(lambda t: t[1:] + t[:1])
+        names.append("shift")
+        order *= k
+    if n > 2 and all(sum(1 << -u % n for u in bits(G.adj[v])) == G.adj[-v % n]
+                     for v in range(n)):
+        gens.append(lambda t: tuple(-c % n for c in t))
+        names.append("negation")
+        order *= 2
+    return gens, f"<{', '.join(names)}> of order {order}"
+
+
+def _invariant_set(G, k, Gk, cfg):
+    """(vertices of Gk, method) of the largest independent set of G^k that
+    is a union of orbits of ``_power_group`` found within ``cfg``'s
+    budgets, or None when the group is trivial.  Orbits are taken on the
+    ``ProductIndex`` tuples that number the vertices of ``strong_power``,
+    the orbits with two adjacent members are dropped, and the rest are
+    searched as the vertices of their quotient graph, weighted by size.
+    The union is checked coordinate-wise on G before it is returned."""
+    gens, name = _power_group(G, k)
+    if not gens:
+        return None
+    index = ProductIndex((G.n,) * k)
+    orbit_of = [-1] * index.size  # vertex of G^k -> number of its orbit
+    orbits = []
+    for v in range(index.size):
+        if orbit_of[v] >= 0:
+            continue
+        orbit_of[v] = len(orbits)
+        orbit = [v]
+        for u in orbit:  # grows while it is read
+            t = index.decode(u)
+            for g in gens:
+                w = index.encode(g(t))
+                if orbit_of[w] < 0:
+                    orbit_of[w] = len(orbits)
+                    orbit.append(w)
+        orbits.append(orbit)
+    # the group acts by automorphisms of G^k, so each member of an orbit
+    # meets the same orbits as its first one does
+    near = [{orbit_of[w] for w in bits(Gk.adj[orbit[0]])} for orbit in orbits]
+    # an orbit near itself has two adjacent members; (0, ..., 0) is fixed
+    # by the group, so at least one orbit stays
+    kept = {i: j for j, i in enumerate(
+        i for i in range(len(orbits)) if i not in near[i])}
+    rows = tuple(sum(1 << kept[o] for o in near[i] if o in kept)
+                 for i in kept)
+    found, _, _, _ = _run_engine(Graph(len(kept), rows), cfg,
+                                 weights=[len(orbits[i]) for i in kept])
+    numbers = list(kept)
+    verts = sorted(u for j in found for u in orbits[numbers[j]])
+    cells = [index.decode(u) for u in verts]
+    if independent_in_power(G, k, cells) is not None:
+        raise ReportError("internal error: invariant set not independent")
+    return tuple(verts), f"invariant under {name}"
+
+
 def _power_row(G, k, cfg, vertex_limit):
+    """The row of G^k: the generic search's set, unless that is unproven
+    and the invariant search finds a strictly larger one."""
     Gk = strong_power(G, k, vertex_limit=vertex_limit)
     res = max_independent_set(Gk, cfg)
-    size = len(res.vertices)
-    witness = tuple(Gk.label_of(v) for v in res.vertices)  # coordinate tuples
-    return PowerRow(k, size, size ** (1.0 / k), res.proven_optimal, witness)
+    verts = res.vertices
+    method = "exact" if res.proven_optimal else "heuristic"
+    if not res.proven_optimal:
+        invariant = _invariant_set(G, k, Gk, cfg)
+        if invariant is not None and len(invariant[0]) > len(verts):
+            verts, method = invariant
+    size = len(verts)
+    witness = tuple(Gk.label_of(v) for v in verts)  # coordinate tuples
+    return PowerRow(k, size, size ** (1.0 / k), res.proven_optimal, witness,
+                    method)
 
 
 def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                    vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Certified interval around the capacity of G, with per-power table.
     One seeded ``max_independent_set`` search per power, and theta, each
-    run under ``cfg.time_budget``.  Theta runs first, so a graph too large
-    for it raises ``ThetaError`` before any search time is spent."""
+    run under ``cfg``'s budgets.  A power whose search ends unproven also
+    gets the invariant search under the same budgets: the best union of
+    orbits of the coordinate shift (with the diagonal negation when
+    v -> -v mod n is an automorphism of G), taken only when it is
+    strictly larger, with method "invariant under <group>".  Theta runs
+    first, so a graph too large for it raises ``ThetaError`` before any
+    search time is spent."""
     cfg = cfg or SolverConfig()
     bracket = lovasz_theta(G, tol=CLOSED_TOL, time_budget=cfg.time_budget)
     table = []
@@ -139,10 +230,10 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
         table.append(row)
         provenance.append(
             f"alpha(G^{k}) {'=' if row.exact else '>='} {row.alpha_best} "
-            f"({'exact' if row.exact else 'heuristic'})")
+            f"({row.method})")
         if lower is None or row.root > lower.value:
             lower = LowerBound(row.root, k, row.witness, row.exact,
-                               "exact" if row.exact else "heuristic")
+                               row.method)
     if lower is None:
         raise ReportError("no power produced a lower bound")
     value = bracket.hi

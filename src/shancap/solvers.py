@@ -41,6 +41,10 @@ reaches ``_SOLVED_LIMIT`` entries.
 Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
 Program. 126, 2011) runs in the same loop: a branched vertex is discarded
 together with its orbit.
+With vertex weights a twin loop searches for a maximum-weight set, each
+class bounding by its largest weight (the weighted colouring bound of
+Kumlander, 2004) and the replay key holding the slack in weight units;
+it shares the covers, both memos and the budget with the unit loop.
 ``max_independent_set`` runs one search, seeded by the larger of the
 min-degree greedy set and the local search ``heuristic_independent_set``.
 Budgets degrade a search to "incumbent + bound" instead of failing.  Every
@@ -244,10 +248,12 @@ class _MISEngine:
     b describes engine bit b - 1, so a peeled top bit costs one
     ``bit_length`` and two table reads.  ``cur`` and ``best_set`` hold
     such indices b; ``inherited`` and ``classes`` count the cover classes
-    kept from an earlier cover and all cover classes.
+    kept from an earlier cover and all cover classes.  ``weight``, when
+    given, holds the weight of each index b for ``expand_weighted``;
+    ``best`` and ``cap`` are then weights.
     """
 
-    def __init__(self, rows, cfg, cap=None):
+    def __init__(self, rows, cfg, cap=None, weights=None):
         n = len(rows)
         full = (1 << n) - 1
         self.full = full
@@ -260,7 +266,10 @@ class _MISEngine:
         self.best_set = []
         self.cur = []
         self.budget = _Budget(cfg.node_budget, cfg.time_budget)
-        self.cap = n + 1 if cap is None else cap  # no set reaches n + 1
+        # weight[b] of index b, or None for unit weights
+        self.weight = None if weights is None else [0] + list(weights)
+        total = n if weights is None else sum(weights)
+        self.cap = total + 1 if cap is None else cap  # no set reaches it
         self.inherited = 0
         self.classes = 0
         self.n = n
@@ -270,9 +279,34 @@ class _MISEngine:
         self.peel_misses = 0
         self.peel_clears = 0
 
+    def value(self, vertices):
+        """Weight of a list of indices b: its length under unit weights."""
+        if self.weight is None:
+            return len(vertices)
+        return sum(self.weight[b] for b in vertices)
+
+    def bound(self, classes):
+        """The most a cover's classes can add: one vertex per class, at
+        most the class's largest weight."""
+        if self.weight is None:
+            return len(classes)
+        return sum(map(self._heaviest, classes))
+
+    def _heaviest(self, cls):
+        """The largest weight in the class mask ``cls``."""
+        weight = self.weight
+        top = 0
+        while cls:
+            b = cls.bit_length()
+            if weight[b] > top:
+                top = weight[b]
+            cls ^= self.bit[b]
+        return top
+
     def seed_incumbent(self, vertices):
-        if len(vertices) > self.best:
-            self.best = len(vertices)
+        value = self.value(vertices)
+        if value > self.best:
+            self.best = value
             self.best_set = list(vertices)
 
     def improve(self, size):
@@ -398,6 +432,56 @@ class _MISEngine:
                 cand &= ~orb
                 classes = self.cover(cand, classes, orb)
 
+    def expand_weighted(self, cand, size, prior=(), gone=0):
+        """``expand`` under the vertex weights ``weight``, without orbital
+        branching: ``size`` is the weight of ``self.cur``, a class adds at
+        most its largest weight (``tops``), and the replay key carries the
+        slack ``best`` - size in weight units.  The replay is exact for the
+        reasons ``expand`` gives: below a plain node every cut and branch
+        compares size + class bounds with ``best``, and an improvement
+        needs a weight above the slack."""
+        budget = self.budget
+        budget.tick()
+        adj = self.adj
+        nonadj = self.nonadj
+        weight = self.weight
+        solved = self.solved
+        n = self.n
+        classes = self.cover(cand, prior, gone)
+        tops = [self._heaviest(cls) for cls in classes]
+        room = sum(tops)
+        while classes and size + room > self.best:
+            last = classes.pop()
+            room -= tops.pop()
+            low = last & -last
+            last ^= low
+            if last:
+                classes.append(last)
+                tops.append(self._heaviest(last))
+                room += tops[-1]
+            b = low.bit_length()
+            w = weight[b]
+            ncand = cand & nonadj[b]
+            self.cur.append(b)
+            if size + w > self.best:
+                self.improve(size + w)
+            if ncand:
+                best = self.best
+                key = (best - size - w) << n | ncand
+                count = solved.get(key)
+                if count is None:
+                    start = budget.nodes
+                    self.expand_weighted(ncand, size + w, classes, adj[b])
+                    if self.best == best:
+                        if len(solved) >= _SOLVED_LIMIT:
+                            solved.clear()
+                            self.clears += 1
+                        solved[key] = budget.nodes - start
+                else:
+                    budget.charge(count)
+            self.cur.pop()
+            cand ^= low
+
 
 def _check_vertices(G, vertices, what):
     """Reject ``vertices`` unless they are distinct in-range ids of an
@@ -410,10 +494,14 @@ def _check_vertices(G, vertices, what):
         raise SolverError(f"{what} vertices are not independent")
 
 
-def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
+def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None,
+                weights=None):
     """Shared driver.  ``forced`` vertices are committed up front; when
     ``orbit_fn`` is given, the first level below the forced vertices uses
     orbital branching (include a representative or discard its whole orbit).
+    ``weights``, one positive int per vertex, makes it a maximum-weight
+    search (``expand_weighted``; no orbital branching): sizes, the cap and
+    the upper bound are then weights.
     ``cap``, a proven upper bound on the answer, ends the search as soon as
     the incumbent meets it (with 0 nodes when the seed already does) and
     caps the reported upper bound.  Every argument and result is in G's
@@ -427,9 +515,16 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
     _check_vertices(G, forced, "forced")
     _check_vertices(G, incumbent, "incumbent")
     n = G.n
+    if weights is not None:
+        if len(weights) != n or not all(type(w) is int and w > 0
+                                        for w in weights):
+            raise SolverError(f"weights must be {n} positive ints")
+        if orbit_fn is not None:
+            raise SolverError("orbital branching needs unit weights")
+        weights = weights[::-1]
     # caller vertex v is engine bit n - 1 - v, i.e. table index b = n - v
     eng = _MISEngine([_reversed_mask(row, n) for row in reversed(G.adj)],
-                     cfg, cap)
+                     cfg, cap, weights)
     cand = eng.full
     for v in forced:
         cand &= eng.nonadj[n - v]
@@ -441,12 +536,15 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None):
         def orbit(b):
             return _reversed_mask(orbit_fn(n - b), n)
     start = time.monotonic()
-    size = len(forced)
-    root_ub = size + len(eng.cover(cand))
+    size = eng.value(eng.cur)
+    root_ub = size + eng.bound(eng.cover(cand))
     reason = "cap reached" if eng.best >= eng.cap else "proven"
     try:
         if cand and reason == "proven":
-            eng.expand(cand, size, orbit)
+            if weights is None:
+                eng.expand(cand, size, orbit)
+            else:
+                eng.expand_weighted(cand, size)
     except _BudgetExhausted as exc:
         reason = str(exc)
     except _CapReached:

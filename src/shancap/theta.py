@@ -237,10 +237,13 @@ def lovasz_theta(G, tol=1e-6, max_iterations=100, time_budget=None):
 
     Raises ``ThetaError``, before anything is allocated, when the Schur
     matrix (order m + 1 for m edges) or X (order n) would exceed
-    ``MATRIX_LIMIT``, or when ``time_budget`` is given and not positive.
+    ``MATRIX_LIMIT``, when ``time_budget`` is given and not positive, or
+    when ``tol`` is not positive and finite.
     """
     if time_budget is not None and not time_budget > 0:
         raise ThetaError(f"time budget must be positive, got {time_budget!r}")
+    if not 0 < tol < math.inf:
+        raise ThetaError(f"tol must be positive and finite, got {tol!r}")
     n, m = G.n, G.num_edges
     if max(n, m + 1) > MATRIX_LIMIT:
         raise ThetaError(
