@@ -26,7 +26,11 @@ but first pins one king at the origin (any packing can be translated
 there) and then branches the level below orbitally under the origin
 stabilizer (coordinate permutations and per-axis reflections): include a
 representative or discard its whole orbit.  Deeper levels run the plain
-search.
+search.  A board it leaves unproven then gets the report's invariant
+search (``report._invariant_set``): the best packing that is a union of
+orbits of the coordinate shift and the diagonal negation, kept only when
+it is strictly larger, as ``report`` keeps it for a power row.  On (7, 3)
+that is 33, the known packing number, where the search stops at 30.
 """
 
 from __future__ import annotations
@@ -284,8 +288,16 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     reported upper bound never exceeds the cap.  Symmetry breaking: the
     first king is fixed at the origin, and the branching level right below
     it prunes whole orbits of the origin stabilizer.  Cross-checked in
-    tests against the generic solver.  Logs one debug line per search:
-    the board, both caps, the one that binds and the seed's size.
+    tests against the generic solver.
+
+    When the search ends unproven, the invariant search of the report
+    runs on the same C_p^d under ``cfg``'s budgets, and its packing
+    replaces the search's when it is strictly larger; the result is then
+    proven only if that packing meets the search's upper bound (the cap
+    or the root cover bound, both proven).  Logs one debug line per
+    search: the board, both caps, the one that binds and the seed's size;
+    and one per unproven board: the sizes of the search's and the
+    invariant packing and whether the second replaced the first.
     """
     cfg = cfg or SolverConfig()
     incumbent, G = _heuristic_placement(board, cfg, vertex_limit)
@@ -308,6 +320,17 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
         G, cfg, forced=(ids[(0,) * board.d],), orbit_fn=orbit_mask,
         incumbent=tuple(ids[c] for c in incumbent.cells),
         cap=min(theta_cap, rosenfeld_cap))
+    if not proven:
+        # report imports this module, so it is imported here
+        from .report import _invariant_set
+        # never None: v -> -v mod p is an automorphism of C_p, p >= 3
+        invariant, _ = _invariant_set(cycle(board.p), board.d, G, cfg)
+        replaced = len(invariant) > len(verts)
+        logger.debug("king fallback: board=(%d,%d) search=%d invariant=%d "
+                     "replaced=%s", board.p, board.d, len(verts),
+                     len(invariant), "yes" if replaced else "no")
+        if replaced:
+            verts, proven = invariant, len(invariant) >= upper
     pl = canonical_placement(Placement(board, tuple(G.labels[v] for v in verts)))
     ok, pair = verify_placement(pl)
     if not ok:

@@ -149,7 +149,10 @@ def _invariant_set(G, k, Gk, cfg):
     ``ProductIndex`` tuples that number the vertices of ``strong_power``,
     the orbits with two adjacent members are dropped, and the rest are
     searched as the vertices of their quotient graph, weighted by size.
-    The union is checked coordinate-wise on G before it is returned."""
+    The union is checked coordinate-wise on G before it is returned.
+    ``Gk`` must be numbered as ``strong_power`` numbers G^k.  Two callers:
+    ``_power_row`` on each unproven row, and ``kings.exact_max_kings`` on
+    each unproven board, with G = C_p and Gk its king graph."""
     gens, name = _power_group(G, k)
     if not gens:
         return None

@@ -57,6 +57,7 @@ reads the clock once.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import random
 import time
@@ -128,13 +129,16 @@ class CliqueCover:
 
 
 def is_independent_set(G, vertices):
-    """O(k^2) bit test, independent of any solver internals."""
+    """True iff ``vertices`` are distinct and pairwise non-adjacent: one
+    mask of the set, then one ``adj[v] & mask`` per vertex (G is
+    loop-free).  Independent of any solver internals."""
     vs = list(vertices)
-    for i, v in enumerate(vs):
-        for u in vs[i + 1:]:
-            if u == v or G.adj[v] >> u & 1:
-                return False
-    return True
+    if len(set(vs)) != len(vs):
+        return False
+    mask = 0
+    for v in vs:
+        mask |= 1 << v
+    return not any(G.adj[v] & mask for v in vs)
 
 
 def is_clique(G, vertices):
@@ -153,19 +157,48 @@ def _vertex_order(G, ordering):
     if ordering == "degree":
         return sorted(range(n), key=lambda v: (-G.adj[v].bit_count(), v))
     # degeneracy: repeatedly strip a minimum-degree vertex, then reverse
-    alive = (1 << n) - 1
+    live = _LiveDegrees(G)
     order = []
-    while alive:
-        v = _min_degree(G.adj, alive)
+    for _ in range(n):
+        v = live.lowest()
         order.append(v)
-        alive &= ~(1 << v)
+        live.remove(1 << v)
     return order[::-1]
 
 
-def _min_degree(adj, alive):
-    """Vertex of ``alive`` with the fewest neighbours in it; lowest id on
-    ties."""
-    return min(bits(alive), key=lambda v: (adj[v] & alive).bit_count())
+class _LiveDegrees:
+    """The degrees of G's vertices within the live set ``alive``, which
+    only shrinks.  A removal recounts only the live neighbours of what
+    left, the only degrees it can change, and a heap with stale entries
+    skipped gives the live vertex of lowest (degree, id); a rescan of the
+    whole live set per pick is quadratic in n."""
+
+    def __init__(self, G):
+        self.adj = G.adj
+        self.alive = (1 << G.n) - 1
+        self.degree = [row.bit_count() for row in G.adj]
+        self.heap = [(d, v) for v, d in enumerate(self.degree)]
+        heapq.heapify(self.heap)
+
+    def lowest(self):
+        """Live vertex with the fewest live neighbours; lowest id on ties."""
+        heap = self.heap
+        while True:
+            d, v = heap[0]
+            if self.alive >> v & 1 and self.degree[v] == d:
+                return v
+            heapq.heappop(heap)
+
+    def remove(self, mask):
+        """Take the vertices of ``mask`` out of the live set."""
+        mask &= self.alive
+        alive = self.alive = self.alive ^ mask
+        near = 0
+        for u in bits(mask):
+            near |= self.adj[u]
+        for w in bits(near & alive):  # each lost a live neighbour
+            d = self.degree[w] = (self.adj[w] & alive).bit_count()
+            heapq.heappush(self.heap, (d, w))
 
 
 class _BudgetExhausted(Exception):
@@ -594,13 +627,13 @@ def max_independent_set(G, cfg=None):
 def _greedy_independent(G, start=None):
     """Deterministic min-degree greedy, from ``start`` when given; cheap
     incumbent for pruning."""
-    alive = (1 << G.n) - 1
+    live = _LiveDegrees(G)
     out = []
-    while alive:
-        v = _min_degree(G.adj, alive) if start is None else start
+    while live.alive:
+        v = live.lowest() if start is None else start
         start = None
         out.append(v)
-        alive &= ~(G.adj[v] | (1 << v))
+        live.remove(G.adj[v] | (1 << v))
     return out
 
 
