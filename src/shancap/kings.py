@@ -28,9 +28,13 @@ stabilizer (coordinate permutations and per-axis reflections): include a
 representative or discard its whole orbit.  Deeper levels run the plain
 search.  A board it leaves unproven then gets the report's invariant
 search (``report._invariant_set``): the best packing that is a union of
-orbits of the coordinate shift and the diagonal negation, kept only when
-it is strictly larger, as ``report`` keeps it for a power row.  On (7, 3)
-that is 33, the known packing number, where the search stops at 30.
+orbits of the group ``report._power_group`` picks, kept only when it is
+strictly larger, as ``report`` keeps it for a power row.  For d >= 3 the
+group is generated by the coordinate shift and the diagonal negation; on
+(7, 3) it gives 33, the known packing number, where the search stops at
+30.  At d = 2 it is the negation alone, whose packing on (13, 2) and
+(15, 2) is Hales' 39 and 52, the Rosenfeld cap, so those boards are
+proven where the search stops at 37 and 50.
 """
 
 from __future__ import annotations
@@ -291,10 +295,12 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     tests against the generic solver.
 
     When the search ends unproven, the invariant search of the report
-    runs on the same C_p^d under ``cfg``'s budgets, and its packing
-    replaces the search's when it is strictly larger; the result is then
-    proven only if that packing meets the search's upper bound (the cap
-    or the root cover bound, both proven).  Logs one debug line per
+    runs on the same C_p^d under ``cfg``'s budgets, over the group
+    ``report._power_group`` picks for C_p^d (the negation alone at d = 2,
+    joined by the coordinate shift for d >= 3), and its packing replaces
+    the search's when it is strictly larger; the result is then proven
+    only if that packing meets the search's upper bound (the cap or the
+    root cover bound, both proven), as on (13, 2) and (15, 2).  Logs one debug line per
     search: the board, both caps, the one that binds and the seed's size;
     and one per unproven board: the sizes of the search's and the
     invariant packing and whether the second replaced the first.

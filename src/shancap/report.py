@@ -6,12 +6,15 @@ imported certificate proves less.  Each power k gets the seeded generic
 search; a row it leaves unproven also gets the invariant search: the
 independent sets of G^k that are unions of orbits of a group, found as
 maximum-weight independent sets of the orbit graph (Mathew & Östergård,
-Des. Codes Cryptogr. 2017).  The group is generated by the cyclic shift
-of the k coordinates and, when v -> -v mod n is an automorphism of G,
-the diagonal negation; on C7^3 it reaches 33, the known alpha, where the
-generic search stops at 30.  The row keeps the generic set unless the
-invariant one is strictly larger, and then names the group as its method
-and stays unproven.  rho and sigma are not computed: theta <=
+Des. Codes Cryptogr. 2017).  The group (``_power_group``) is generated by
+the diagonal negation v -> -v mod n, when that is an automorphism of G,
+and by the cyclic shift of the k coordinates for k >= 3; at k = 2 the
+shift joins only when negation is not an automorphism.  On C7^3 the
+group reaches 33, the known alpha, where the generic search stops at 30;
+on C11^2 and C13^2 negation alone reaches Hales' 27 and 39, where the
+coarser orbits of the shift and negation together stop at 25 and 36.
+The row keeps the generic set unless the invariant one is strictly
+larger, and then names the group as its method and stays unproven.  rho and sigma are not computed: theta <=
 rho <= sigma always holds, so neither can tighten the interval.  The theta
 bracket is computed once on the base graph; it already bounds every power
 because it multiplies.  Every reported bound carries a machine-checkable
@@ -124,18 +127,25 @@ def _upper_display(value):
 
 def _power_group(G, k):
     """(generators, name) of the group the invariant search uses on G^k,
-    each generator a map of coordinate tuples: the cyclic shift of the k
-    coordinates, joined by the diagonal negation v -> -v mod n when that is
-    an automorphism of G other than the identity (checked on ``G.adj``).
-    The two commute, so the group's order is the product of theirs."""
+    each generator a map of coordinate tuples.  The diagonal negation
+    v -> -v mod n joins when it is an automorphism of G other than the
+    identity (checked on ``G.adj``); the cyclic shift of the k coordinates
+    joins for k >= 3, and at k = 2 only when negation does not.  At k = 2
+    negation alone leaves orbits of at most two cells, enough freedom to
+    reach Hales' alpha(C_p^2) = floor(p floor(p/2) / 2) on C5^2 to C13^2
+    under the benchmark's 150k nodes (27 on C11^2 in 5,588 nodes, 39 on
+    C13^2 in 72,713), where adding the shift stops at 25 and 36.  The
+    generators commute, so the group's order is the product of theirs."""
     n = G.n
+    negation = n > 2 and all(
+        sum(1 << -u % n for u in bits(G.adj[v])) == G.adj[-v % n]
+        for v in range(n))
     gens, names, order = [], [], 1
-    if k > 1:
+    if k > 2 or k == 2 and not negation:
         gens.append(lambda t: t[1:] + t[:1])
         names.append("shift")
         order *= k
-    if n > 2 and all(sum(1 << -u % n for u in bits(G.adj[v])) == G.adj[-v % n]
-                     for v in range(n)):
+    if negation:
         gens.append(lambda t: tuple(-c % n for c in t))
         names.append("negation")
         order *= 2
@@ -152,7 +162,10 @@ def _invariant_set(G, k, Gk, cfg):
     The union is checked coordinate-wise on G before it is returned.
     ``Gk`` must be numbered as ``strong_power`` numbers G^k.  Two callers:
     ``_power_row`` on each unproven row, and ``kings.exact_max_kings`` on
-    each unproven board, with G = C_p and Gk its king graph."""
+    each unproven board, with G = C_p and Gk its king graph.  At k = 2 the
+    group is the negation alone, whose orbits of at most two cells give
+    the odd squares C5^2 to C13^2 Hales' alpha under the benchmark's
+    budget."""
     gens, name = _power_group(G, k)
     if not gens:
         return None
@@ -214,9 +227,12 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
     One seeded ``max_independent_set`` search per power, and theta, each
     run under ``cfg``'s budgets.  A power whose search ends unproven also
     gets the invariant search under the same budgets: the best union of
-    orbits of the coordinate shift (with the diagonal negation when
-    v -> -v mod n is an automorphism of G), taken only when it is
-    strictly larger, with method "invariant under <group>".  Theta runs
+    orbits of ``_power_group``'s group, taken only when it is strictly
+    larger, with method "invariant under <group>".  The group is the
+    diagonal negation v -> -v mod n when that is an automorphism of G,
+    joined by the coordinate shift for k >= 3 (and at k = 2 only when
+    negation is not one): on C11^2 and C13^2 negation alone reaches
+    Hales' 27 and 39, where adding the shift stops at 25 and 36.  Theta runs
     first, so a graph too large for it raises ``ThetaError`` before any
     search time is spent."""
     cfg = cfg or SolverConfig()

@@ -44,7 +44,10 @@ together with its orbit.
 With vertex weights a twin loop searches for a maximum-weight set, each
 class bounding by its largest weight (the weighted colouring bound of
 Kumlander, 2004) and the replay key holding the slack in weight units;
-it shares the covers, both memos and the budget with the unit loop.
+it shares the covers, both memos and the budget with the unit loop.  A
+class's largest weight travels with it: a child keeps the tops of the
+classes it inherits, and a peeled class reads its top from a memo bounded
+like the peel memo, so no node walks every class again.
 ``max_independent_set`` runs one search, seeded by the larger of the
 min-degree greedy set and the local search ``heuristic_independent_set``.
 Budgets degrade a search to "incumbent + bound" instead of failing.  Every
@@ -283,7 +286,8 @@ class _MISEngine:
     such indices b; ``inherited`` and ``classes`` count the cover classes
     kept from an earlier cover and all cover classes.  ``weight``, when
     given, holds the weight of each index b for ``expand_weighted``;
-    ``best`` and ``cap`` are then weights.
+    ``best`` and ``cap`` are then weights, and ``tops`` maps a class mask
+    to its largest weight, emptied like ``peels``.
     """
 
     def __init__(self, rows, cfg, cap=None, weights=None):
@@ -311,6 +315,7 @@ class _MISEngine:
         self.peels = {}  # rem & N[t] -> the class peeled from it
         self.peel_misses = 0
         self.peel_clears = 0
+        self.tops = {}  # class mask -> its largest weight
 
     def value(self, vertices):
         """Weight of a list of indices b: its length under unit weights."""
@@ -326,14 +331,23 @@ class _MISEngine:
         return sum(map(self._heaviest, classes))
 
     def _heaviest(self, cls):
-        """The largest weight in the class mask ``cls``."""
-        weight = self.weight
-        top = 0
-        while cls:
-            b = cls.bit_length()
-            if weight[b] > top:
-                top = weight[b]
-            cls ^= self.bit[b]
+        """The largest weight in the class mask ``cls``, read from ``tops``
+        or walked bit by bit and stored there (emptied first when it holds
+        ``_SOLVED_LIMIT`` entries)."""
+        top = self.tops.get(cls)
+        if top is None:
+            weight = self.weight
+            top = 0
+            walk = cls
+            while walk:
+                b = walk.bit_length()
+                if weight[b] > top:
+                    top = weight[b]
+                walk ^= self.bit[b]
+            tops = self.tops
+            if len(tops) >= _SOLVED_LIMIT:
+                tops.clear()
+            tops[cls] = top
         return top
 
     def seed_incumbent(self, vertices):
@@ -465,14 +479,17 @@ class _MISEngine:
                 cand &= ~orb
                 classes = self.cover(cand, classes, orb)
 
-    def expand_weighted(self, cand, size, prior=(), gone=0):
+    def expand_weighted(self, cand, size, prior=(), prior_tops=(), gone=0):
         """``expand`` under the vertex weights ``weight``, without orbital
         branching: ``size`` is the weight of ``self.cur``, a class adds at
         most its largest weight (``tops``), and the replay key carries the
         slack ``best`` - size in weight units.  The replay is exact for the
         reasons ``expand`` gives: below a plain node every cut and branch
         compares size + class bounds with ``best``, and an improvement
-        needs a weight above the slack."""
+        needs a weight above the slack.  A class kept from the parent's
+        cover keeps its top from ``prior_tops``, a peeled one reads it
+        through ``_heaviest``'s memo, and a class that loses its low bit
+        keeps its top unless that bit weighed as much."""
         budget = self.budget
         budget.tick()
         adj = self.adj
@@ -480,20 +497,25 @@ class _MISEngine:
         weight = self.weight
         solved = self.solved
         n = self.n
+        inherited = self.inherited
         classes = self.cover(cand, prior, gone)
-        tops = [self._heaviest(cls) for cls in classes]
+        kept = self.inherited - inherited  # the classes taken from ``prior``
+        tops = [*prior_tops[:kept], *map(self._heaviest, classes[kept:])]
         room = sum(tops)
         while classes and size + room > self.best:
             last = classes.pop()
-            room -= tops.pop()
+            top = tops.pop()
+            room -= top
             low = last & -last
             last ^= low
-            if last:
-                classes.append(last)
-                tops.append(self._heaviest(last))
-                room += tops[-1]
             b = low.bit_length()
             w = weight[b]
+            if last:
+                if w == top:
+                    top = self._heaviest(last)
+                classes.append(last)
+                tops.append(top)
+                room += top
             ncand = cand & nonadj[b]
             self.cur.append(b)
             if size + w > self.best:
@@ -504,7 +526,8 @@ class _MISEngine:
                 count = solved.get(key)
                 if count is None:
                     start = budget.nodes
-                    self.expand_weighted(ncand, size + w, classes, adj[b])
+                    self.expand_weighted(ncand, size + w, classes, tops,
+                                         adj[b])
                     if self.best == best:
                         if len(solved) >= _SOLVED_LIMIT:
                             solved.clear()
