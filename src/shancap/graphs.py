@@ -119,7 +119,8 @@ def from_edges(n, edges, labels=None):
 @dataclass(frozen=True)
 class ProductIndex:
     """Mixed-radix indexing of product vertices; leftmost factor is most
-    significant."""
+    significant.  ``strong_power`` numbers G^k this way, and ``orbit`` is
+    where a group acts on the tuples: both symmetric searches use it."""
 
     radices: tuple
 
@@ -152,6 +153,19 @@ class ProductIndex:
             coords.append(idx % r)
             idx //= r
         return tuple(reversed(coords))
+
+    def orbit(self, idx, gens):
+        """Ids of the orbit of ``idx`` under the group generated by ``gens``,
+        maps of coordinate tuples, in breadth-first order from ``idx``."""
+        out = [self.decode(idx)]
+        seen = set(out)
+        for t in out:  # grows while it is read
+            for g in gens:
+                s = g(t)
+                if s not in seen:
+                    seen.add(s)
+                    out.append(s)
+        return [self.encode(t) for t in out]
 
 
 # -- generators ----------------------------------------------------------

@@ -21,20 +21,16 @@ proven bounds, and both rest on facts about strong products:
 
 The exact search is seeded with the best greedy or product packing and
 stops as soon as that incumbent meets the cap, with no search at all when
-the seed already does.  Otherwise it feeds the generic branch-and-bound,
-but first pins one king at the origin (any packing can be translated
-there) and then branches the level below orbitally under the origin
-stabilizer (coordinate permutations and per-axis reflections): include a
-representative or discard its whole orbit.  Deeper levels run the plain
-search.  A board it leaves unproven then gets the report's invariant
-search (``report._invariant_set``): the best packing that is a union of
-orbits of the group ``report._power_group`` picks, kept only when it is
-strictly larger, as ``report`` keeps it for a power row.  For d >= 3 the
-group is generated by the coordinate shift and the diagonal negation; on
-(7, 3) it gives 33, the known packing number, where the search stops at
-30.  At d = 2 it is the negation alone, whose packing on (13, 2) and
-(15, 2) is Hales' 39 and 52, the Rosenfeld cap, so those boards are
-proven where the search stops at 37 and 50.
+the seed already does.  Otherwise it pins one king at the origin (any
+packing can be translated there) and branches the level below orbitally
+under the origin stabilizer (coordinate permutations and per-axis
+reflections): include a representative or discard its whole orbit.  Deeper
+levels run the plain search.  A board left unproven goes through
+``report._keep_or_prove``, the rule of the report's power rows: the
+invariant packing is kept when strictly larger, and proven when it meets
+the search's upper bound.  It gives 33 on (7, 3), the known packing number
+(the search: 30), and Hales' 39 and 52 on (13, 2) and (15, 2), which meet
+the Rosenfeld cap.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
 
 from .graphs import (DEFAULT_VERTEX_LIMIT, ProductIndex, check_vertex_limit,
                      clique_cover_value, cycle, independent_in_power,
@@ -237,24 +232,21 @@ def canonical_placement(pl):
 
 
 def _stabilizer_orbit(board, cell):
-    """Orbit of a cell under coordinate permutations and per-axis
-    reflections (the automorphisms fixing the origin that we exploit)."""
-    p, d = board.p, board.d
-    out = set()
-    for perm in permutations(range(d)):
-        permuted = tuple(cell[perm[i]] for i in range(d))
-        for signs in product((1, -1), repeat=d):
-            out.add(tuple((c * s) % p for c, s in zip(permuted, signs)))
-    return out
+    """Orbit of a cell under the origin stabilizer we exploit, coordinate
+    permutations and per-axis reflections, generated by negating axis 0,
+    rotating the axes and swapping axes 0 and 1 (the identity at d = 1)."""
+    p, index = board.p, board.index
+    gens = (lambda t: (-t[0] % p,) + t[1:], lambda t: t[1:] + t[:1],
+            lambda t: t[1::-1] + t[2:])
+    return {index.decode(u) for u in index.orbit(index.encode(cell), gens)}
 
 
 def heuristic_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Best of a randomized-greedy packing and the products of the packings
     found for (p, d - a) and (p, a), a = 1..floor(d/2); each smaller board
-    is solved once.  On one axis the floor packing is optimal.
-
-    The upper bound is the board's cap, min(⌊θ(C_p)^d⌋, ⌊(p/2)^(d-1)·
-    ⌊p/2⌋⌋), and the result is proven optimal when the packing meets it."""
+    is solved once.  On one axis the floor packing is optimal.  The upper
+    bound is the board's cap (see the module docstring), and the result is
+    proven optimal when the packing meets it."""
     cfg = cfg or SolverConfig()
     pl, _ = _heuristic_placement(board, cfg, vertex_limit)
     return capped_result(pl, cfg.time_budget)
@@ -283,37 +275,23 @@ def _heuristic_placement(board, cfg, vertex_limit):
 def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Exact packing number of the toroidal board within budget.
 
-    The search runs on the heuristic's C_p^d, a cell being the vertex so
-    labelled, from ``heuristic_max_kings``'s packing, and stops once its
-    incumbent meets the board's cap, the smaller of the θ cap ⌊θ(C_p)^d⌋
-    and the Rosenfeld cap ⌊(p/2)^(d-1)·⌊p/2⌋⌋, which proves it optimal
-    (with no search node when the seed meets it, as 5 * 5 does on (5, 4);
-    on (11, 2) the Rosenfeld cap 27 ends the search at the first 27).  The
-    reported upper bound never exceeds the cap.  Symmetry breaking: the
-    first king is fixed at the origin, and the branching level right below
-    it prunes whole orbits of the origin stabilizer.  Cross-checked in
-    tests against the generic solver.
-
-    When the search ends unproven, the invariant search of the report
-    runs on the same C_p^d under ``cfg``'s budgets, over the group
-    ``report._power_group`` picks for C_p^d (the negation alone at d = 2,
-    joined by the coordinate shift for d >= 3), and its packing replaces
-    the search's when it is strictly larger; the result is then proven
-    only if that packing meets the search's upper bound (the cap or the
-    root cover bound, both proven), as on (13, 2) and (15, 2).  Logs one debug line per
-    search: the board, both caps, the one that binds and the seed's size;
-    and one per unproven board: the sizes of the search's and the
-    invariant packing and whether the second replaced the first.
-    """
+    The search of the module docstring runs on the heuristic's C_p^d from
+    its packing; its upper bound never exceeds the cap (5 * 5 meets the cap
+    on (5, 4) with no search node; on (11, 2) the Rosenfeld cap 27 ends the
+    search at the first 27).  An unproven search goes through
+    ``report._keep_or_prove`` under ``cfg``'s budgets.  Cells and vertex
+    ids convert through ``board.index``, which numbers C_p^d as its labels
+    do.  Logs one debug line per search: the board, both caps, the one that
+    binds and the seed's size; and one per unproven board: the sizes of the
+    search's and the invariant packing and whether the second replaced the
+    first."""
     cfg = cfg or SolverConfig()
     incumbent, G = _heuristic_placement(board, cfg, vertex_limit)
-    ids = {label: v for v, label in enumerate(G.labels)}
+    index = board.index
 
     def orbit_mask(v):
-        mask = 0
-        for cell in _stabilizer_orbit(board, G.labels[v]):
-            mask |= 1 << ids[cell]
-        return mask
+        return sum(1 << index.encode(cell)
+                   for cell in _stabilizer_orbit(board, index.decode(v)))
 
     theta_cap, rosenfeld_cap = _caps(board.p, board.d, cfg.time_budget)
     logger.debug("king search: board=(%d,%d) theta cap=%d rosenfeld cap=%d "
@@ -323,21 +301,19 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
                  len(incumbent))
     # canonical, so the incumbent contains the origin and seeds the search
     verts, proven, upper, _ = _run_engine(
-        G, cfg, forced=(ids[(0,) * board.d],), orbit_fn=orbit_mask,
-        incumbent=tuple(ids[c] for c in incumbent.cells),
+        G, cfg, forced=(index.encode((0,) * board.d),), orbit_fn=orbit_mask,
+        incumbent=tuple(index.encode(c) for c in incumbent.cells),
         cap=min(theta_cap, rosenfeld_cap))
     if not proven:
         # report imports this module, so it is imported here
-        from .report import _invariant_set
-        # never None: v -> -v mod p is an automorphism of C_p, p >= 3
-        invariant, _ = _invariant_set(cycle(board.p), board.d, G, cfg)
-        replaced = len(invariant) > len(verts)
+        from .report import _keep_or_prove
+        kept, proven, _, size = _keep_or_prove(cycle(board.p), board.d, G,
+                                               cfg, verts, upper)
         logger.debug("king fallback: board=(%d,%d) search=%d invariant=%d "
-                     "replaced=%s", board.p, board.d, len(verts),
-                     len(invariant), "yes" if replaced else "no")
-        if replaced:
-            verts, proven = invariant, len(invariant) >= upper
-    pl = canonical_placement(Placement(board, tuple(G.labels[v] for v in verts)))
+                     "replaced=%s", board.p, board.d, len(verts), size,
+                     "yes" if len(kept) > len(verts) else "no")
+        verts = kept
+    pl = canonical_placement(Placement(board, tuple(map(index.decode, verts))))
     ok, pair = verify_placement(pl)
     if not ok:
         raise PlacementError(f"internal error: invalid packing at {pair}")

@@ -4,27 +4,24 @@ Lower bounds come from independent sets in strong powers (value is the
 k-th root of the witness size); the upper bound is theta's ``hi``, unless an
 imported certificate proves less.  Each power k gets the seeded generic
 search; a row it leaves unproven also gets the invariant search: the
-independent sets of G^k that are unions of orbits of a group, found as
-maximum-weight independent sets of the orbit graph (Mathew & Östergård,
-Des. Codes Cryptogr. 2017).  The group (``_power_group``) is generated by
-the diagonal negation v -> -v mod n, when that is an automorphism of G,
-and by the cyclic shift of the k coordinates for k >= 3; at k = 2 the
-shift joins only when negation is not an automorphism.  On C7^3 the
-group reaches 33, the known alpha, where the generic search stops at 30;
-on C11^2 and C13^2 negation alone reaches Hales' 27 and 39, where the
-coarser orbits of the shift and negation together stop at 25 and 36.
-The row keeps the generic set unless the invariant one is strictly
-larger, and then names the group as its method and stays unproven.  rho and sigma are not computed: theta <=
-rho <= sigma always holds, so neither can tighten the interval.  The theta
-bracket is computed once on the base graph; it already bounds every power
-because it multiplies.  Every reported bound carries a machine-checkable
-witness, and reports with identical seed and budget serialize
-byte-for-byte identically.  ``verify_report`` re-checks them all: every
-cell witness (the lower one and each table row's, whatever its method),
-read back into G's vertices through G's labels, by one coordinate-wise
-check on G's adjacency, with no G^k built, and the upper certificate
-through ``certified_upper``, which also vets imports.  An imported
-packing on the (G.n, d) board is a witness of G^d like any other.
+independent sets of G^k that are unions of orbits of a group
+(``_power_group``), found as maximum-weight independent sets of the orbit
+graph (Mathew & Östergård, Des. Codes Cryptogr. 2017).  On C7^3 it reaches
+33, the known alpha, where the generic search stops at 30; on C11^2 and
+C13^2 Hales' 27 and 39.  One rule (``_keep_or_prove``), shared with the
+king search, keeps the invariant set only when it is strictly larger, and
+then proves the row when it meets the generic search's upper bound.  rho
+and sigma are not computed: theta <= rho <= sigma always holds, so neither
+can tighten the interval.  The theta bracket is computed once on the base
+graph; it already bounds every power because it multiplies.  Every
+reported bound carries a machine-checkable witness, and reports with
+identical seed and budget serialize byte-for-byte identically.
+``verify_report`` re-checks them all: every cell witness (the lower one
+and each table row's, whatever its method), read back into G's vertices
+through G's labels, by one coordinate-wise check on G's adjacency, with no
+G^k built, and the upper certificate through ``certified_upper``, which
+also vets imports.  An imported packing on the (G.n, d) board is a witness
+of G^d like any other.
 
 Upper bounds are rounded outward, never to the nearest value: the chosen
 upper value is rounded up to 6 significant digits, unless the reported
@@ -39,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
@@ -48,7 +46,8 @@ from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError, ProductIndex,
                      strong_power)
 from .haemers import FittingError, FittingMatrix, haemers_certificate
 from .kings import Placement
-from .solvers import SolverConfig, _run_engine, max_independent_set
+from .solvers import (SolverConfig, _BudgetExhausted, _run_engine,
+                      max_independent_set)
 from .theta import ThetaBracket, lovasz_theta
 from .umbrella import (CertificateError, DensityUmbrella, VectorUmbrella,
                        verify_dual_certificate, verify_umbrella)
@@ -130,11 +129,9 @@ def _power_group(G, k):
     each generator a map of coordinate tuples.  The diagonal negation
     v -> -v mod n joins when it is an automorphism of G other than the
     identity (checked on ``G.adj``); the cyclic shift of the k coordinates
-    joins for k >= 3, and at k = 2 only when negation does not.  At k = 2
-    negation alone leaves orbits of at most two cells, enough freedom to
-    reach Hales' alpha(C_p^2) = floor(p floor(p/2) / 2) on C5^2 to C13^2
-    under the benchmark's 150k nodes (27 on C11^2 in 5,588 nodes, 39 on
-    C13^2 in 72,713), where adding the shift stops at 25 and 36.  The
+    joins for k >= 3, and at k = 2 only when negation does not: negation's
+    orbits of at most two cells reach Hales' alpha(C_p^2) on C5^2 to C13^2
+    under the benchmark's budget, where adding the shift stops short.  The
     generators commute, so the group's order is the product of theirs."""
     n = G.n
     negation = n > 2 and all(
@@ -155,86 +152,94 @@ def _power_group(G, k):
 def _invariant_set(G, k, Gk, cfg):
     """(vertices of Gk, method) of the largest independent set of G^k that
     is a union of orbits of ``_power_group`` found within ``cfg``'s
-    budgets, or None when the group is trivial.  Orbits are taken on the
-    ``ProductIndex`` tuples that number the vertices of ``strong_power``,
-    the orbits with two adjacent members are dropped, and the rest are
-    searched as the vertices of their quotient graph, weighted by size.
-    The union is checked coordinate-wise on G before it is returned.
-    ``Gk`` must be numbered as ``strong_power`` numbers G^k.  Two callers:
-    ``_power_row`` on each unproven row, and ``kings.exact_max_kings`` on
-    each unproven board, with G = C_p and Gk its king graph.  At k = 2 the
-    group is the negation alone, whose orbits of at most two cells give
-    the odd squares C5^2 to C13^2 Hales' alpha under the benchmark's
-    budget."""
+    budgets, or None when the group is trivial.  The orbits, from
+    ``ProductIndex.orbit`` and numbered by their smallest vertex ids, that
+    have no two adjacent members are searched as the vertices of their
+    quotient graph, weighted by size, and the union is checked on G.
+    ``Gk`` must be numbered as ``strong_power`` numbers G^k.  Power rows
+    and king boards alike come here through ``_keep_or_prove``.  One
+    deadline, ``cfg.time_budget`` from the start, covers it all: the clock
+    is read before each vertex's orbit and each orbit-graph row, the set
+    is empty once the deadline has passed there, and the engine gets only
+    the time left.  So the call overruns the budget by at most one orbit's
+    or row's work, or by the engine's one node plus the check of its set."""
     gens, name = _power_group(G, k)
     if not gens:
         return None
+    method = f"invariant under {name}"
+    deadline = time.monotonic() + cfg.time_budget
+
+    def on_time(items):  # no step starts after the deadline
+        for item in items:
+            if time.monotonic() > deadline:
+                raise _BudgetExhausted("time budget")
+            yield item
+
     index = ProductIndex((G.n,) * k)
     orbit_of = [-1] * index.size  # vertex of G^k -> number of its orbit
     orbits = []
-    for v in range(index.size):
-        if orbit_of[v] >= 0:
-            continue
-        orbit_of[v] = len(orbits)
-        orbit = [v]
-        for u in orbit:  # grows while it is read
-            t = index.decode(u)
-            for g in gens:
-                w = index.encode(g(t))
-                if orbit_of[w] < 0:
-                    orbit_of[w] = len(orbits)
-                    orbit.append(w)
-        orbits.append(orbit)
-    # the group acts by automorphisms of G^k, so each member of an orbit
-    # meets the same orbits as its first one does
-    near = [{orbit_of[w] for w in bits(Gk.adj[orbit[0]])} for orbit in orbits]
-    # an orbit near itself has two adjacent members; (0, ..., 0) is fixed
-    # by the group, so at least one orbit stays
-    kept = {i: j for j, i in enumerate(
-        i for i in range(len(orbits)) if i not in near[i])}
-    rows = tuple(sum(1 << kept[o] for o in near[i] if o in kept)
-                 for i in kept)
-    found, _, _, _ = _run_engine(Graph(len(kept), rows), cfg,
+    try:
+        for v in on_time(range(index.size)):
+            if orbit_of[v] < 0:
+                orbits.append(index.orbit(v, gens))
+                for u in orbits[-1]:
+                    orbit_of[u] = len(orbits) - 1
+        # the group acts by automorphisms of G^k, so each member of an
+        # orbit meets the same orbits as its first one does
+        near = [{orbit_of[w] for w in bits(Gk.adj[orbit[0]])}
+                for orbit in on_time(orbits)]
+        # an orbit near itself has two adjacent members; (0, ..., 0) is
+        # fixed by the group, so at least one orbit stays
+        kept = [i for i, meets in enumerate(near) if i not in meets]
+        pos = {i: j for j, i in enumerate(kept)}  # its vertex in the quotient
+        rows = tuple(sum(1 << pos[o] for o in near[i] if o in pos)
+                     for i in on_time(kept))
+    except _BudgetExhausted:
+        return (), method
+    left = deadline - time.monotonic()
+    if left <= 0:
+        return (), method
+    found, _, _, _ = _run_engine(Graph(len(kept), rows),
+                                 replace(cfg, time_budget=left),
                                  weights=[len(orbits[i]) for i in kept])
-    numbers = list(kept)
-    verts = sorted(u for j in found for u in orbits[numbers[j]])
-    cells = [index.decode(u) for u in verts]
-    if independent_in_power(G, k, cells) is not None:
+    verts = sorted(u for j in found for u in orbits[kept[j]])
+    if independent_in_power(G, k, list(map(index.decode, verts))) is not None:
         raise ReportError("internal error: invariant set not independent")
-    return tuple(verts), f"invariant under {name}"
+    return tuple(verts), method
+
+
+def _keep_or_prove(G, k, Gk, cfg, found, upper):
+    """(vertices, proven, method, invariant size) for a search of G^k that
+    ended unproven with ``found`` under its proven upper bound ``upper``:
+    ``_invariant_set``'s set replaces ``found`` when strictly larger, and
+    is then proven if it meets ``upper``.  Power rows and boards share it."""
+    invariant, method = _invariant_set(G, k, Gk, cfg) or ((), None)
+    if len(invariant) > len(found):
+        return invariant, len(invariant) >= upper, method, len(invariant)
+    return found, False, "heuristic", len(invariant)
 
 
 def _power_row(G, k, cfg, vertex_limit):
-    """The row of G^k: the generic search's set, unless that is unproven
-    and the invariant search finds a strictly larger one."""
+    """The row of G^k: the generic search's set, or ``_keep_or_prove``'s."""
     Gk = strong_power(G, k, vertex_limit=vertex_limit)
     res = max_independent_set(Gk, cfg)
-    verts = res.vertices
-    method = "exact" if res.proven_optimal else "heuristic"
+    verts, proven, method = res.vertices, True, "exact"
     if not res.proven_optimal:
-        invariant = _invariant_set(G, k, Gk, cfg)
-        if invariant is not None and len(invariant[0]) > len(verts):
-            verts, method = invariant
+        verts, proven, method, _ = _keep_or_prove(G, k, Gk, cfg, verts,
+                                                  res.upper_bound)
     size = len(verts)
     witness = tuple(Gk.label_of(v) for v in verts)  # coordinate tuples
-    return PowerRow(k, size, size ** (1.0 / k), res.proven_optimal, witness,
-                    method)
+    return PowerRow(k, size, size ** (1.0 / k), proven, witness, method)
 
 
 def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                    vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Certified interval around the capacity of G, with per-power table.
     One seeded ``max_independent_set`` search per power, and theta, each
-    run under ``cfg``'s budgets.  A power whose search ends unproven also
-    gets the invariant search under the same budgets: the best union of
-    orbits of ``_power_group``'s group, taken only when it is strictly
-    larger, with method "invariant under <group>".  The group is the
-    diagonal negation v -> -v mod n when that is an automorphism of G,
-    joined by the coordinate shift for k >= 3 (and at k = 2 only when
-    negation is not one): on C11^2 and C13^2 negation alone reaches
-    Hales' 27 and 39, where adding the shift stops at 25 and 36.  Theta runs
-    first, so a graph too large for it raises ``ThetaError`` before any
-    search time is spent."""
+    run under ``cfg``'s budgets; a power whose search ends unproven goes
+    through ``_keep_or_prove`` under the same budgets.  Theta runs first,
+    so a graph too large for it raises ``ThetaError`` before any search
+    time is spent."""
     cfg = cfg or SolverConfig()
     bracket = lovasz_theta(G, tol=CLOSED_TOL, time_budget=cfg.time_budget)
     table = []
@@ -450,6 +455,10 @@ def report_to_dict(report):
 
 
 def report_to_json(report):
+    """The report as JSON, the same bytes for the same seed and budget at
+    a fixed BLAS thread count: G(24,1/2)#3's theta bracket reads
+    [6.010143447772267, 6.010143448247813] under two OpenBLAS threads and
+    [6.010143447774896, 6.010143448247845] under one, all else equal."""
     return json.dumps(report_to_dict(report), sort_keys=True)
 
 
