@@ -11,8 +11,8 @@ from .fractional import (FractionalWeighting, LPInfeasible, LPUnbounded,
 from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError, ProductIndex,
                      VertexLimitError, complement, complete, conormal_product,
                      cycle, disjoint_union, empty, from_edges, generate,
-                     independent_in_power, is_isomorphic, path, strong_power,
-                     strong_product)
+                     independent_in_power, is_clique, is_independent_set,
+                     is_isomorphic, path, strong_power, strong_product)
 from .graphio import (GraphFormatError, load_graph, parse_graph, write_graph)
 from .haemers import (FittingMatrix, FittingReport, adjacency_certificate,
                       fitting_matrix, haemers_certificate,
@@ -27,8 +27,7 @@ from .report import (BoundsReport, LockinTable, combine_external_certificate,
 from .solvers import (CliqueCapExceeded, CliqueCover, IndependentSet,
                       SolverConfig, clique_cover_number, clique_number,
                       enumerate_maximal_cliques, heuristic_independent_set,
-                      is_clique, is_independent_set, max_clique,
-                      max_independent_set)
+                      max_clique, max_independent_set)
 from .theta import ThetaBracket, lovasz_theta
 from .umbrella import (DensityUmbrella, PurifyResult, UmbrellaReport,
                        VectorUmbrella, density_from_vector,

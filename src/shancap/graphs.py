@@ -4,6 +4,10 @@ Adjacency is kept as one Python int per vertex (bit u of ``adj[v]`` set iff
 u~v), which makes neighborhood intersections in the solvers single bitwise
 operations.  Product graphs carry per-vertex coordinate labels so that a
 vertex of ``strong_power(G, k)`` can be read back as a k-tuple.
+
+Every independence and clique check lives here and reads its pairs
+through ``independent_in_power``; the module imports no other ``shancap``
+module, so no check shares code with a solver whose result it checks.
 """
 
 from __future__ import annotations
@@ -310,11 +314,12 @@ def independent_in_power(G, k, cells):
         if not (isinstance(cell, tuple) and len(cell) == k and all(
                 isinstance(c, int) and 0 <= c < G.n for c in cell)):
             raise GraphError(f"cell {cell!r} is not a vertex of G^{k}")
-    # near[t][u]: bit mask of the cells whose t-th entry is u or adjacent
+    # near[t][u], for u some cell's t-th entry: the cells there or adjacent
+    used = [sum({1 << c for c in col}) for col in zip(*cells)]
     near = [[0] * G.n for _ in range(k)]
     for j, cell in enumerate(cells):
-        for row, c in zip(near, cell):
-            for u in bits(G.adj[c] | 1 << c):
+        for row, mask, c in zip(near, used, cell):
+            for u in bits((G.adj[c] | 1 << c) & mask):
                 row[u] |= 1 << j
     for i, cell in enumerate(cells):
         clash = reduce(int.__and__, (row[c] for row, c in zip(near, cell)))
@@ -322,6 +327,20 @@ def independent_in_power(G, k, cells):
         if clash:
             return i, i + (clash & -clash).bit_length()
     return None
+
+
+def is_independent_set(G, vertices):
+    """True iff ``vertices`` are distinct ids of pairwise non-adjacent
+    vertices of G; False if one is not a vertex id of G."""
+    try:
+        return independent_in_power(G, 1, [(v,) for v in vertices]) is None
+    except GraphError:
+        return False
+
+
+def is_clique(G, vertices):
+    """True iff ``vertices`` are distinct ids of pairwise adjacent ones."""
+    return is_independent_set(complement(G), vertices)
 
 
 def clique_cover_value(G, cover):
@@ -333,6 +352,7 @@ def clique_cover_value(G, cover):
     Then Σw bounds α*(G) = ρ(G), hence α(G): for x >= 0 with weight at
     most 1 on every clique, Σ_v x_v <= Σ_C w_C Σ_{v in C} x_v <= Σ_C w_C.
     Exact arithmetic on ``G.adj`` only."""
+    H = complement(G)
     total = Fraction(0)
     load = [Fraction(0)] * G.n
     for clique, w in cover:
@@ -343,11 +363,11 @@ def clique_cover_value(G, cover):
         clique = tuple(clique)
         if not all(isinstance(v, int) and 0 <= v < G.n for v in clique):
             raise GraphError(f"{clique!r} is not a set of vertices of G")
-        for i, u in enumerate(clique):
-            for v in clique[i + 1:]:
-                if not G.adj[u] >> v & 1:
-                    raise GraphError(f"{clique!r} is not a clique: {u} and "
-                                     f"{v} are not adjacent")
+        pair = independent_in_power(H, 1, [(v,) for v in clique])
+        if pair is not None:
+            u, v = (clique[i] for i in pair)
+            raise GraphError(f"{clique!r} is not a clique: {u} and {v} are "
+                             "not adjacent")
         for v in clique:
             load[v] += w
         total += w

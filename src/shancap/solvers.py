@@ -63,10 +63,13 @@ from __future__ import annotations
 import heapq
 import logging
 import random
+import sys
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, complement
+# is_clique is re-exported: the set checks live in graphs.py
+from .graphs import (Graph, bits, clique_cover_value, complement, is_clique,
+                     is_independent_set)
 
 DEFAULT_CLIQUE_CAP = 2000
 
@@ -129,28 +132,6 @@ class IndependentSet:
 class CliqueCover:
     parts: tuple
     proven_optimal: bool = True
-
-
-def is_independent_set(G, vertices):
-    """True iff ``vertices`` are distinct and pairwise non-adjacent: one
-    mask of the set, then one ``adj[v] & mask`` per vertex (G is
-    loop-free).  Independent of any solver internals."""
-    vs = list(vertices)
-    if len(set(vs)) != len(vs):
-        return False
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    return not any(G.adj[v] & mask for v in vs)
-
-
-def is_clique(G, vertices):
-    vs = list(vertices)
-    for i, v in enumerate(vs):
-        for u in vs[i + 1:]:
-            if u == v or not G.adj[v] >> u & 1:
-                return False
-    return True
 
 
 def _vertex_order(G, ordering):
@@ -567,6 +548,8 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None,
     clears, seconds, expanded nodes/s, the share of cover classes kept from
     an earlier cover, the share of the other classes found in the peel
     memo and its clears, and the stop reason.
+    Both loops recurse once per vertex they include, so the recursion limit
+    is raised by n for the search (no C stack is used on CPython >= 3.11).
     Returns (vertices, proven, upper_bound, nodes)."""
     _check_vertices(G, forced, "forced")
     _check_vertices(G, incumbent, "incumbent")
@@ -595,6 +578,8 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None,
     size = eng.value(eng.cur)
     root_ub = size + eng.bound(eng.cover(cand))
     reason = "cap reached" if eng.best >= eng.cap else "proven"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n)
     try:
         if cand and reason == "proven":
             if weights is None:
@@ -605,6 +590,8 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None,
         reason = str(exc)
     except _CapReached:
         reason = "cap reached"
+    finally:
+        sys.setrecursionlimit(limit)
     proven = reason in ("proven", "cap reached")
     seconds = time.monotonic() - start
     nodes = eng.budget.nodes
@@ -822,7 +809,9 @@ def clique_cover_number(G, cfg=None):
     values of k, checking the node count and the clock on every node, so
     it overruns ``time_budget`` by at most one node's work: one scan of
     the uncolored vertices.  The greedy bounds before it are not
-    budgeted.
+    budgeted.  The result is checked: ``clique_cover_value`` raises
+    GraphError unless the parts are cliques covering G, and SolverError
+    follows unless they hold n vertices in all (no vertex twice).
     """
     cfg = cfg or SolverConfig()
     H = complement(G)
@@ -850,19 +839,7 @@ def clique_cover_number(G, cfg=None):
         except _BudgetExhausted:
             proven = False
     parts = sorted(tuple(bits(mask)) for mask in best_classes)
-    cover = CliqueCover(tuple(parts), proven)
-    _validate_cover(G, cover)
-    return len(parts), cover
-
-
-def _validate_cover(G, cover):
-    seen = 0
-    for part in cover.parts:
-        if not is_clique(G, part):
-            raise SolverError(f"cover part {part} is not a clique")
-        for v in part:
-            if seen >> v & 1:
-                raise SolverError(f"vertex {v} covered twice")
-            seen |= 1 << v
-    if seen != (1 << G.n) - 1:
-        raise SolverError("cover misses vertices")
+    clique_cover_value(G, [(part, 1) for part in parts])
+    if sum(map(len, parts)) != n:
+        raise SolverError("internal error: cover parts overlap")
+    return len(parts), CliqueCover(tuple(parts), proven)
