@@ -41,13 +41,13 @@ reaches ``_SOLVED_LIMIT`` entries.
 Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
 Program. 126, 2011) runs in the same loop: a branched vertex is discarded
 together with its orbit.
-With vertex weights a twin loop searches for a maximum-weight set, each
-class bounding by its largest weight (the weighted colouring bound of
-Kumlander, 2004) and the replay key holding the slack in weight units;
-it shares the covers, both memos and the budget with the unit loop.  A
-class's largest weight travels with it: a child keeps the tops of the
-classes it inherits, and a peeled class reads its top from a memo bounded
-like the peel memo, so no node walks every class again.
+With vertex weights the same loop searches for a maximum-weight set: each
+class bounds by its largest weight instead of by 1 (the weighted colouring
+bound of Kumlander, 2004), and the replay key holds the slack in weight
+units.  A class's largest weight travels with it: a child keeps the tops
+of the classes it inherits, and a peeled class reads its top from a memo
+bounded like the peel memo, so no node walks every class again.  A unit
+search keeps no tops at all.
 ``max_independent_set`` runs one search, seeded by the larger of the
 min-degree greedy set and the local search ``heuristic_independent_set``.
 Budgets degrade a search to "incumbent + bound" instead of failing.  Every
@@ -266,9 +266,10 @@ class _MISEngine:
     ``bit_length`` and two table reads.  ``cur`` and ``best_set`` hold
     such indices b; ``inherited`` and ``classes`` count the cover classes
     kept from an earlier cover and all cover classes.  ``weight``, when
-    given, holds the weight of each index b for ``expand_weighted``;
-    ``best`` and ``cap`` are then weights, and ``tops`` maps a class mask
-    to its largest weight, emptied like ``peels``.
+    given, holds the weight of each index b, and ``expand`` reads it to
+    search for a maximum-weight set; ``best`` and ``cap`` are then
+    weights, and ``tops`` maps a class mask to its largest weight, emptied
+    like ``peels``.
     """
 
     def __init__(self, rows, cfg, cap=None, weights=None):
@@ -398,51 +399,82 @@ class _MISEngine:
         self.peel_misses += 1
         return cls
 
-    def expand(self, cand, size, orbit=None, prior=(), gone=0):
+    def expand(self, cand, size, orbit=None, prior=(), gone=0, prior_tops=()):
         """Search below the current set ``self.cur`` of ``size`` vertices;
         ``prior`` and ``gone`` pass the parent's cover on to ``cover``.
         With ``orbit`` (index b -> engine mask of its orbit under a symmetry
         of the node), a branched vertex is discarded with its whole orbit
         and the rest re-covered; the children search plainly.
 
+        Under ``weight`` the search is for a maximum-weight set: ``size`` is
+        the weight of ``self.cur``, and a class adds at most its largest
+        weight, its top, where it adds 1 under unit weights.  A class kept
+        from the parent's cover keeps its top from ``prior_tops``, a peeled
+        one reads it through ``_heaviest``'s memo, and a class that loses
+        its low bit keeps its top unless that bit weighed as much.  Unit
+        searches keep no tops: ``room`` is then the number of classes.
+
         A plain child whose key (candidates, ``best`` - size) was solved
         before in this search, without improving the incumbent, is replayed:
         its node count is charged to the budget and it is not searched.
         The replay is exact: below a plain node the covers depend only on
         the candidates (inherited covers equal fresh ones), every cut and
-        branch compares size + classes with ``best``, and only an
-        improvement reads ``cur`` or the cap, so such a subtree repeats node
-        for node as long as ``best`` stays put, which it does throughout
-        the subtree."""
+        branch compares size + ``room`` with ``best``, and only an
+        improvement, which needs a weight above the slack, reads ``cur`` or
+        the cap, so such a subtree repeats node for node as long as ``best``
+        stays put, which it does throughout the subtree."""
         budget = self.budget
         budget.tick()
         adj = self.adj
         nonadj = self.nonadj
+        weight = self.weight
         solved = self.solved
         n = self.n
+        inherited = self.inherited
         classes = self.cover(cand, prior, gone)
+        if weight is None:
+            tops = None
+            room = len(classes)
+        else:
+            kept = self.inherited - inherited  # the classes taken from prior
+            tops = [*prior_tops[:kept], *map(self._heaviest, classes[kept:])]
+            room = sum(tops)
+        w = 1
         # hot path: branch on the low bit of the last class by hand
-        while classes and size + len(classes) > self.best:
+        while classes and size + room > self.best:
             last = classes.pop()
             low = last & -last
             last ^= low
-            if last:
-                classes.append(last)
-            # ``classes`` now covers cand - {low}
             b = low.bit_length()
+            if tops is None:
+                if last:
+                    classes.append(last)
+                else:
+                    room -= 1
+            else:
+                w = weight[b]
+                top = tops.pop()
+                room -= top
+                if last:
+                    if w == top:
+                        top = self._heaviest(last)
+                    classes.append(last)
+                    tops.append(top)
+                    room += top
+            # ``classes`` now covers cand - {low}
             ncand = cand & nonadj[b]
             self.cur.append(b)
-            if size + 1 > self.best:
-                self.improve(size + 1)
+            if size + w > self.best:
+                self.improve(size + w)
             if ncand:
                 # the child's candidates are cand - {low} - N(b)
                 best = self.best
                 # the child's slack best - size goes above its candidates
-                key = (best - size - 1) << n | ncand
+                key = (best - size - w) << n | ncand
                 count = solved.get(key)
                 if count is None:
                     start = budget.nodes
-                    self.expand(ncand, size + 1, None, classes, adj[b])
+                    self.expand(ncand, size + w, None, classes, adj[b], tops)
                     if self.best == best:
                         if len(solved) >= _SOLVED_LIMIT:
                             solved.clear()
@@ -455,69 +487,17 @@ class _MISEngine:
                 # peeling takes the top bit of each class first, so the
                 # cover of cand - {low} is the rest of ``classes``
                 cand ^= low
-            else:
+            else:  # unit weights only: ``_run_engine`` enforces it
                 orb = orbit(b)  # holds b
                 cand &= ~orb
                 classes = self.cover(cand, classes, orb)
+                room = len(classes)
 
-    def expand_weighted(self, cand, size, prior=(), prior_tops=(), gone=0):
-        """``expand`` under the vertex weights ``weight``, without orbital
-        branching: ``size`` is the weight of ``self.cur``, a class adds at
-        most its largest weight (``tops``), and the replay key carries the
-        slack ``best`` - size in weight units.  The replay is exact for the
-        reasons ``expand`` gives: below a plain node every cut and branch
-        compares size + class bounds with ``best``, and an improvement
-        needs a weight above the slack.  A class kept from the parent's
-        cover keeps its top from ``prior_tops``, a peeled one reads it
-        through ``_heaviest``'s memo, and a class that loses its low bit
-        keeps its top unless that bit weighed as much."""
-        budget = self.budget
-        budget.tick()
-        adj = self.adj
-        nonadj = self.nonadj
-        weight = self.weight
-        solved = self.solved
-        n = self.n
-        inherited = self.inherited
-        classes = self.cover(cand, prior, gone)
-        kept = self.inherited - inherited  # the classes taken from ``prior``
-        tops = [*prior_tops[:kept], *map(self._heaviest, classes[kept:])]
-        room = sum(tops)
-        while classes and size + room > self.best:
-            last = classes.pop()
-            top = tops.pop()
-            room -= top
-            low = last & -last
-            last ^= low
-            b = low.bit_length()
-            w = weight[b]
-            if last:
-                if w == top:
-                    top = self._heaviest(last)
-                classes.append(last)
-                tops.append(top)
-                room += top
-            ncand = cand & nonadj[b]
-            self.cur.append(b)
-            if size + w > self.best:
-                self.improve(size + w)
-            if ncand:
-                best = self.best
-                key = (best - size - w) << n | ncand
-                count = solved.get(key)
-                if count is None:
-                    start = budget.nodes
-                    self.expand_weighted(ncand, size + w, classes, tops,
-                                         adj[b])
-                    if self.best == best:
-                        if len(solved) >= _SOLVED_LIMIT:
-                            solved.clear()
-                            self.clears += 1
-                        solved[key] = budget.nodes - start
-                else:
-                    budget.charge(count)
-            self.cur.pop()
-            cand ^= low
+    def expand_weighted(self, cand, size):
+        """The root of a maximum-weight search: ``expand`` under ``weight``.
+        ``_run_engine`` enters weighted searches here, and tests substitute
+        a reference search under this name."""
+        self.expand(cand, size)
 
 
 def _check_vertices(G, vertices, what):
@@ -537,8 +517,8 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None,
     ``orbit_fn`` is given, the first level below the forced vertices uses
     orbital branching (include a representative or discard its whole orbit).
     ``weights``, one positive int per vertex, makes it a maximum-weight
-    search (``expand_weighted``; no orbital branching): sizes, the cap and
-    the upper bound are then weights.
+    search (entered through ``expand_weighted``; no orbital branching):
+    sizes, the cap and the upper bound are then weights.
     ``cap``, a proven upper bound on the answer, ends the search as soon as
     the incumbent meets it (with 0 nodes when the seed already does) and
     caps the reported upper bound.  Every argument and result is in G's
@@ -548,7 +528,7 @@ def _run_engine(G, cfg, forced=(), orbit_fn=None, incumbent=(), cap=None,
     clears, seconds, expanded nodes/s, the share of cover classes kept from
     an earlier cover, the share of the other classes found in the peel
     memo and its clears, and the stop reason.
-    Both loops recurse once per vertex they include, so the recursion limit
+    The search recurses once per vertex it includes, so the recursion limit
     is raised by n for the search (no C stack is used on CPython >= 3.11).
     Returns (vertices, proven, upper_bound, nodes)."""
     _check_vertices(G, forced, "forced")
