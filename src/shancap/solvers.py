@@ -594,16 +594,16 @@ def max_independent_set(G, cfg=None):
     best proven upper bound and proven_optimal=False.  The search starts
     from the larger of the greedy set and the local search; a larger seed
     only prunes more (the search visits a subset of the same nodes, in the
-    same order), so the result is never smaller than either seed."""
+    same order), so the result is never smaller than either seed.  The
+    engine peels vertex order[i] of ``cfg.ordering`` as its vertex i: it
+    searches G itself when that order is the identity (``"label"``, or
+    ``"degree"`` on a regular graph), otherwise a copy relabelled row by
+    row, so either way it sees G's rows in that order."""
     cfg = cfg or SolverConfig()
     order = _vertex_order(G, cfg.ordering)
-    # relabel so the engine's peeling priority follows the requested ordering
-    pos = {v: i for i, v in enumerate(order)}
-    rows = [0] * G.n
-    for u, v in G.edges():
-        rows[pos[u]] |= 1 << pos[v]
-        rows[pos[v]] |= 1 << pos[u]
-    Gr = Graph(G.n, tuple(rows))
+    pos = sorted(range(G.n), key=order.__getitem__)  # order's inverse
+    Gr = G if order == list(range(G.n)) else Graph(G.n, tuple(
+        sum(1 << pos[u] for u in bits(G.adj[v])) for v in order))
     local = [pos[v] for v in heuristic_independent_set(G, cfg).vertices]
     seed = max(_greedy_independent(Gr), local, key=len)  # greedy on ties
     verts, proven, upper, _ = _run_engine(Gr, cfg, incumbent=seed)
