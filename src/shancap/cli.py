@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid input, 2 when --strict is set and any
-result degraded to an unproven bound.  --json emits machine-readable
-output on stdout; --seed makes every randomized component reproducible
-byte-for-byte.
+result degraded to an unproven bound, 3 (``EXIT_INTERNAL``) when a report
+that ``bounds`` computed fails ``verify_report``: an internal error, with
+nothing on stdout.  --json emits machine-readable output on stdout;
+--seed makes every randomized component reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .haemers import fitting_from_json, haemers_certificate, verify_fitting
 from .kings import (RENDER_FORMATS, Board, canonical_placement,
                     capped_result, exact_max_kings, heuristic_max_kings,
                     layered_construction, placement_from_json, render_board)
-from .report import (compute_bounds, lockin_to_dict, lockin_scan,
-                     render_lockin, render_report, report_to_dict)
+from .report import (ReportError, compute_bounds, lockin_to_dict,
+                     lockin_scan, render_lockin, render_report,
+                     report_to_dict, verify_report)
 from .solvers import (SolverConfig, clique_cover_number, max_clique,
                       max_independent_set)
 from .theta import lovasz_theta
@@ -32,6 +34,7 @@ from .umbrella import (odd_cycle_umbrella, tensor_umbrella, umbrella_from_json,
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_DEGRADED = 2
+EXIT_INTERNAL = 3
 
 
 class SpecParseError(GraphError):
@@ -413,6 +416,11 @@ def _dispatch(args):
         G, spec = _graph_arg(args)
         rep = compute_bounds(G, max_power=args.max_power, cfg=_cfg(args),
                              graph_desc=spec, vertex_limit=args.vertex_limit)
+        try:
+            verify_report(rep)
+        except ReportError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         degraded = not (rep.lower.proven and
                         all(r.exact for r in rep.table))
         _emit(args, report_to_dict(rep), render_report(rep))

@@ -289,18 +289,23 @@ def conormal_product(G, H, vertex_limit=DEFAULT_VERTEX_LIMIT):
     return Graph(n, tuple(rows), _concat_labels(G, H))
 
 
-def strong_power(G, k, vertex_limit=DEFAULT_VERTEX_LIMIT):
-    """Iterated strong product; labels are flat k-digit coordinates."""
+def strong_powers(G, k, vertex_limit=DEFAULT_VERTEX_LIMIT):
+    """[G, G^2, ..., G^k], each power the strong product of the one before
+    and G, so built once; labels are flat k-digit coordinates (G's vertex
+    ids when it has none).  Both checks run before anything is built."""
     if k < 1:
         raise GraphError("power k must be >= 1")
     check_vertex_limit(G.n**k, vertex_limit)
-    base = G if G.labels is not None else Graph(
-        G.n, G.adj, tuple((v,) for v in range(G.n))
-    )
-    return reduce(
-        lambda A, B: strong_product(A, B, vertex_limit=vertex_limit),
-        [base] * k,
-    )
+    powers = [G if G.labels is not None else Graph(
+        G.n, G.adj, tuple((v,) for v in range(G.n)))]
+    while len(powers) < k:
+        powers.append(strong_product(powers[-1], powers[0], vertex_limit))
+    return powers
+
+
+def strong_power(G, k, vertex_limit=DEFAULT_VERTEX_LIMIT):
+    """G^k, the last of ``strong_powers``."""
+    return strong_powers(G, k, vertex_limit)[-1]
 
 
 def independent_in_power(G, k, cells):

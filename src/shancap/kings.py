@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import (DEFAULT_VERTEX_LIMIT, ProductIndex, check_vertex_limit,
-                     clique_cover_value, cycle, independent_in_power,
-                     strong_power, strong_product)
+from .graphs import (DEFAULT_VERTEX_LIMIT, ProductIndex, clique_cover_value,
+                     cycle, independent_in_power, strong_power, strong_powers)
 from .solvers import SolverConfig, _run_engine, heuristic_independent_set
 from .theta import lovasz_theta
 
@@ -253,15 +252,13 @@ def heuristic_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
 
 
 def _heuristic_placement(board, cfg, vertex_limit):
-    """(packing of ``heuristic_max_kings``, C_p^d).  Each C_p^k is built
-    once, as C_p^(k-1) times C_p, so its labels are ``strong_power``'s; a
-    board over ``vertex_limit`` fails before any search."""
-    check_vertex_limit(board.cells, vertex_limit)
+    """(packing of ``heuristic_max_kings``, C_p^d), every C_p^k from one
+    ``strong_powers`` call, so a board over ``vertex_limit`` fails before
+    any search."""
     p = board.p
-    C = Gk = king_graph(Board(p, 1), vertex_limit)
+    powers = strong_powers(cycle(p), board.d, vertex_limit)
     best = {1: _floor_packing(p)}
-    for k in range(2, board.d + 1):
-        Gk = strong_product(Gk, C, vertex_limit)
+    for k, Gk in enumerate(powers[1:], 2):
         found = heuristic_independent_set(Gk, cfg)
         pl = Placement(Board(p, k), tuple(Gk.labels[v] for v in found.vertices))
         for a in range(1, k // 2 + 1):
@@ -269,7 +266,7 @@ def _heuristic_placement(board, cfg, vertex_limit):
             if len(prod) > len(pl):
                 pl = prod
         best[k] = canonical_placement(pl)
-    return best[board.d], Gk
+    return best[board.d], powers[-1]
 
 
 def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):

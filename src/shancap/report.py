@@ -42,8 +42,8 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
 
 from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError, ProductIndex,
-                     VertexLimitError, bits, independent_in_power,
-                     strong_power)
+                     VertexLimitError, bits, check_vertex_limit,
+                     independent_in_power, strong_powers)
 from .haemers import FittingError, FittingMatrix, haemers_certificate
 from .kings import Placement
 from .solvers import (SolverConfig, _BudgetExhausted, _run_engine,
@@ -219,19 +219,6 @@ def _keep_or_prove(G, k, Gk, cfg, found, upper):
     return found, False, "heuristic", len(invariant)
 
 
-def _power_row(G, k, cfg, vertex_limit):
-    """The row of G^k: the generic search's set, or ``_keep_or_prove``'s."""
-    Gk = strong_power(G, k, vertex_limit=vertex_limit)
-    res = max_independent_set(Gk, cfg)
-    verts, proven, method = res.vertices, True, "exact"
-    if not res.proven_optimal:
-        verts, proven, method, _ = _keep_or_prove(G, k, Gk, cfg, verts,
-                                                  res.upper_bound)
-    size = len(verts)
-    witness = tuple(Gk.label_of(v) for v in verts)  # coordinate tuples
-    return PowerRow(k, size, size ** (1.0 / k), proven, witness, method)
-
-
 def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                    vertex_limit=DEFAULT_VERTEX_LIMIT):
     """Certified interval around the capacity of G, with per-power table.
@@ -242,15 +229,28 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
     time is spent."""
     cfg = cfg or SolverConfig()
     bracket = lovasz_theta(G, tol=CLOSED_TOL, time_budget=cfg.time_budget)
+    # one strong_powers call builds the powers that fit vertex_limit; G.n**k
+    # never falls as k grows, so they are G, ..., G^fit
+    fit = sum(G.n**k <= vertex_limit for k in range(1, max_power + 1))
+    powers = strong_powers(G, fit, vertex_limit) if fit else []
     table = []
     provenance = []
     lower = None
     for k in range(1, max_power + 1):
         try:
-            row = _power_row(G, k, cfg, vertex_limit)
+            check_vertex_limit(G.n**k, vertex_limit)
         except VertexLimitError as exc:  # too large to build: flag, move on
             provenance.append(f"power {k} skipped: {exc}")
             continue
+        Gk = powers[k - 1]  # row: the search's set, or _keep_or_prove's
+        res = max_independent_set(Gk, cfg)
+        verts, exact, method = res.vertices, True, "exact"
+        if not res.proven_optimal:
+            verts, exact, method, _ = _keep_or_prove(G, k, Gk, cfg, verts,
+                                                     res.upper_bound)
+        size = len(verts)
+        witness = tuple(Gk.label_of(v) for v in verts)  # coordinate tuples
+        row = PowerRow(k, size, size ** (1.0 / k), exact, witness, method)
         table.append(row)
         provenance.append(
             f"alpha(G^{k}) {'=' if row.exact else '>='} {row.alpha_best} "

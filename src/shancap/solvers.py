@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 import random
 import sys
 import time
@@ -115,8 +116,9 @@ class SolverConfig:
     ordering: str = "degree"
 
     def __post_init__(self):
-        if not (self.time_budget > 0 and self.node_budget > 0):
-            raise SolverError("budgets must be positive")
+        if not (0 < self.time_budget < math.inf
+                and 0 < self.node_budget < math.inf):
+            raise SolverError("budgets must be positive and finite")
         if self.ordering not in _ORDERINGS:
             raise SolverError(f"ordering must be one of {_ORDERINGS}")
 
@@ -503,7 +505,7 @@ class _MISEngine:
 def _check_vertices(G, vertices, what):
     """Reject ``vertices`` unless they are distinct in-range ids of an
     independent set of G."""
-    if any(v not in range(G.n) for v in vertices):
+    if not all(isinstance(v, int) and 0 <= v < G.n for v in vertices):
         raise SolverError(f"{what} vertices must be ids in range({G.n})")
     if len(set(vertices)) != len(vertices):
         raise SolverError(f"{what} vertices repeat a vertex")
@@ -749,12 +751,10 @@ def _greedy_coloring(adj, n):
 
 
 def _color_exact(adj, n, k, clique_mask, budget):
-    """Backtracking k-coloring; the seed clique is pre-colored 0,1,2,...
-    ``budget`` (a ``_Budget``) is ticked on every node; returns list of
-    class masks or None."""
+    """Backtracking k-coloring, k at least the seed clique's size (the
+    caller's lower bound); the clique is pre-colored 0,1,2,...  ``budget``
+    (a ``_Budget``) is ticked on every node; returns class masks or None."""
     used = clique_mask.bit_count()
-    if used > k:
-        return None
     classes = [1 << v for v in bits(clique_mask)] + [0] * (k - used)
 
     def saturation(v):  # the number of classes that meet N(v)

@@ -15,6 +15,8 @@ over all parts:
   engine     300 seeded ``max_independent_set`` and ``_run_engine`` calls
              (n 1-60, regular and irregular, node budgets 1-5,000) with the
              node count of every engine search they run
+  cli        stdout, stderr and exit code of ``cli.run``, in process, on
+             each command line of ``CLI_RUNS``
 
 Every call runs under node budgets that bind long before the time budgets,
 so the hashes do not depend on the machine's speed.  theta's brackets
@@ -28,13 +30,24 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is first imported
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import random  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ENGINE_CALLS = 300
+CLI_RUNS = (
+    "bounds cycle:5",
+    "bounds cycle:7 --max-power 3 --node-budget 150000 --json",
+    "bounds cycle:7 --max-power 3 --vertex-limit 100 --json",
+    "lockin cycle:5 --p-max 2 --json",
+    "kings --p 7 --d 3 --force-exact --node-budget 150000 --json",
+    "kings --p 5 --d 4 --force-exact --json",
+    "power cycle:5 2",
+)
 
 
 def _circulant(shancap, n, rng):
@@ -108,7 +121,16 @@ def engine(shancap, workloads, cfg):
         solvers._run_engine = run_engine
 
 
-PARTS = (reports, kings, invariant, engine)
+def cli(shancap, workloads, cfg):
+    from shancap.cli import run
+    for argv in CLI_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv.split())
+        yield [argv, out.getvalue(), err.getvalue(), code]
+
+
+PARTS = (reports, kings, invariant, engine, cli)
 
 
 def main(argv=None):
