@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input, 2 when --strict is set and any
 result degraded to an unproven bound, 3 (``EXIT_INTERNAL``) when a report
-that ``bounds`` computed fails ``verify_report``: an internal error, with
-nothing on stdout.  --json emits machine-readable output on stdout;
+that ``bounds`` or ``lockin`` computed fails ``verify_report``: an internal
+error, with nothing on stdout.  --json emits machine-readable output on stdout;
 --seed makes every randomized component reproducible byte-for-byte.
 """
 
@@ -22,8 +22,8 @@ from .haemers import fitting_from_json, haemers_certificate, verify_fitting
 from .kings import (RENDER_FORMATS, Board, canonical_placement,
                     capped_result, exact_max_kings, heuristic_max_kings,
                     layered_construction, placement_from_json, render_board)
-from .report import (ReportError, compute_bounds, lockin_to_dict,
-                     lockin_scan, render_lockin, render_report,
+from .report import (ReportError, compute_bounds, lockin_table,
+                     lockin_to_dict, render_lockin, render_report,
                      report_to_dict, verify_report)
 from .solvers import (SolverConfig, clique_cover_number, max_clique,
                       max_independent_set)
@@ -255,7 +255,8 @@ def build_parser():
 
     sp = sub.add_parser("lockin", parents=[solve, graphful],
                         help="normalized independence numbers of powers")
-    sp.add_argument("--p-max", type=int, default=2)
+    sp.add_argument("--p-max", dest="max_power", metavar="P_MAX", type=int,
+                    default=2)
 
     sp = sub.add_parser("render", help="draw a placement JSON file")
     sp.add_argument("file")
@@ -412,7 +413,7 @@ def _dispatch(args):
               f"fitting matrix verified ({rep.convention}); rank = {bound} "
               f">= alpha({spec})")
 
-    elif verb == "bounds":
+    elif verb in ("bounds", "lockin"):
         G, spec = _graph_arg(args)
         rep = compute_bounds(G, max_power=args.max_power, cfg=_cfg(args),
                              graph_desc=spec, vertex_limit=args.vertex_limit)
@@ -421,16 +422,13 @@ def _dispatch(args):
         except ReportError as exc:
             print(f"internal error: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
-        degraded = not (rep.lower.proven and
-                        all(r.exact for r in rep.table))
-        _emit(args, report_to_dict(rep), render_report(rep))
-
-    elif verb == "lockin":
-        G, spec = _graph_arg(args)
-        table = lockin_scan(G, p_max=args.p_max, cfg=_cfg(args),
-                            graph_desc=spec, vertex_limit=args.vertex_limit)
-        degraded = not all(r.exact for r in table.rows)
-        _emit(args, lockin_to_dict(table), render_lockin(table))
+        # the lower bound is one of the table's rows
+        degraded = not all(r.exact for r in rep.table)
+        if verb == "bounds":
+            _emit(args, report_to_dict(rep), render_report(rep))
+        else:
+            table = lockin_table(rep)
+            _emit(args, lockin_to_dict(table), render_lockin(table))
 
     elif verb == "render":
         with open(args.file) as fh:

@@ -8,6 +8,9 @@ vertex of ``strong_power(G, k)`` can be read back as a k-tuple.
 Every independence and clique check lives here and reads its pairs
 through ``independent_in_power``; the module imports no other ``shancap``
 module, so no check shares code with a solver whose result it checks.
+Toroidal boards and king packings (``Board``, ``Placement``) live here
+too: ``kings`` searches them and ``report`` imports them as lower-bound
+certificates, and neither has to import the other to read them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ class GraphError(ValueError):
 
 class VertexLimitError(GraphError):
     """A construction would materialize more vertices than allowed."""
+
+
+def is_index(x, n):
+    """True iff ``x`` is an int in range(n); a bool or a float is not,
+    even when it compares equal to one."""
+    return type(x) is int and 0 <= x < n
 
 
 def bits(mask):
@@ -111,7 +120,7 @@ def from_edges(n, edges, labels=None):
     """Build a Graph from an edge list (ignores duplicates, rejects loops)."""
     rows = [0] * n
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
+        if not (is_index(u, n) and is_index(v, n)):
             raise GraphError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise GraphError(f"self-loop ({u},{v}) rejected")
@@ -144,13 +153,13 @@ class ProductIndex:
             raise GraphError("coordinate arity mismatch")
         out = 0
         for c, r in zip(coords, self.radices):
-            if not 0 <= c < r:
+            if not is_index(c, r):
                 raise GraphError(f"coordinate {c} out of range [0,{r})")
             out = out * r + c
         return out
 
     def decode(self, idx):
-        if not 0 <= idx < self.size:
+        if not is_index(idx, self.size):
             raise GraphError(f"index {idx} out of range")
         coords = []
         for r in reversed(self.radices):
@@ -170,6 +179,53 @@ class ProductIndex:
                     seen.add(s)
                     out.append(s)
         return [self.encode(t) for t in out]
+
+
+class PlacementError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class Board:
+    p: int
+    d: int
+
+    def __post_init__(self):
+        if self.p < 3:
+            raise PlacementError("cycle length p must be >= 3")
+        if self.d < 1:
+            raise PlacementError("dimension d must be >= 1")
+
+    @property
+    def cells(self):
+        return self.p**self.d
+
+    @property
+    def index(self):
+        return ProductIndex((self.p,) * self.d)
+
+
+@dataclass(frozen=True)
+class Placement:
+    board: Board
+    cells: tuple
+
+    def __post_init__(self):
+        seen = set()
+        for idx, cell in enumerate(self.cells):
+            if not isinstance(cell, tuple) or len(cell) != self.board.d:
+                raise PlacementError(f"cell {idx} is {cell!r}, not a tuple "
+                                     f"of {self.board.d} coordinates")
+            for c in cell:
+                if not is_index(c, self.board.p):
+                    raise PlacementError(f"cell {idx} coordinate {c!r} out of "
+                                         f"range 0..{self.board.p - 1}")
+            if cell in seen:
+                raise PlacementError(f"cell {idx} duplicates {cell}")
+            seen.add(cell)
+
+    def __len__(self):
+        return len(self.cells)
 
 
 # -- generators ----------------------------------------------------------
@@ -317,7 +373,7 @@ def independent_in_power(G, k, cells):
         raise GraphError(f"power {k!r} is not a positive integer")
     for cell in cells:
         if not (isinstance(cell, tuple) and len(cell) == k and all(
-                isinstance(c, int) and 0 <= c < G.n for c in cell)):
+                is_index(c, G.n) for c in cell)):
             raise GraphError(f"cell {cell!r} is not a vertex of G^{k}")
     # near[t][u], for u some cell's t-th entry: the cells there or adjacent
     used = [sum({1 << c for c in col}) for col in zip(*cells)]
@@ -366,7 +422,7 @@ def clique_cover_value(G, cover):
         if w < 0:
             raise GraphError(f"weight {w} of {clique!r} is negative")
         clique = tuple(clique)
-        if not all(isinstance(v, int) and 0 <= v < G.n for v in clique):
+        if not all(is_index(v, G.n) for v in clique):
             raise GraphError(f"{clique!r} is not a set of vertices of G")
         pair = independent_in_power(H, 1, [(v,) for v in clique])
         if pair is not None:

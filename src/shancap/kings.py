@@ -1,5 +1,6 @@
-"""Toroidal king packings: boards, symmetry-reduced exact search, product
-constructions, and board rendering.
+"""Toroidal king packings: symmetry-reduced exact search, product
+constructions, and board rendering.  Boards and packings themselves
+(``Board``, ``Placement``) live in ``graphs`` and are re-exported here.
 
 A king packing of the p^d torus is an independent set of C_p^d, the d-th
 strong power of the p-cycle.  Every board is capped by the smaller of two
@@ -42,59 +43,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import (DEFAULT_VERTEX_LIMIT, ProductIndex, clique_cover_value,
-                     cycle, independent_in_power, strong_power, strong_powers)
+from .graphs import (DEFAULT_VERTEX_LIMIT, Board, Placement, PlacementError,
+                     clique_cover_value, cycle, independent_in_power,
+                     strong_power, strong_powers)
+from .report import _keep_or_prove
 from .solvers import SolverConfig, _run_engine, heuristic_independent_set
 from .theta import lovasz_theta
 
 logger = logging.getLogger(__name__)
-
-
-class PlacementError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Board:
-    p: int
-    d: int
-
-    def __post_init__(self):
-        if self.p < 3:
-            raise PlacementError("cycle length p must be >= 3")
-        if self.d < 1:
-            raise PlacementError("dimension d must be >= 1")
-
-    @property
-    def cells(self):
-        return self.p**self.d
-
-    @property
-    def index(self):
-        return ProductIndex((self.p,) * self.d)
-
-
-@dataclass(frozen=True)
-class Placement:
-    board: Board
-    cells: tuple
-
-    def __post_init__(self):
-        seen = set()
-        for idx, cell in enumerate(self.cells):
-            if not isinstance(cell, tuple) or len(cell) != self.board.d:
-                raise PlacementError(f"cell {idx} is {cell!r}, not a tuple "
-                                     f"of {self.board.d} coordinates")
-            for c in cell:
-                if not (isinstance(c, int) and 0 <= c < self.board.p):
-                    raise PlacementError(f"cell {idx} coordinate {c!r} out of "
-                                         f"range 0..{self.board.p - 1}")
-            if cell in seen:
-                raise PlacementError(f"cell {idx} duplicates {cell}")
-            seen.add(cell)
-
-    def __len__(self):
-        return len(self.cells)
 
 
 @dataclass(frozen=True)
@@ -302,8 +258,6 @@ def exact_max_kings(board, cfg=None, vertex_limit=DEFAULT_VERTEX_LIMIT):
         incumbent=tuple(index.encode(c) for c in incumbent.cells),
         cap=min(theta_cap, rosenfeld_cap))
     if not proven:
-        # report imports this module, so it is imported here
-        from .report import _keep_or_prove
         kept, proven, _, size = _keep_or_prove(cycle(board.p), board.d, G,
                                                cfg, verts, upper)
         logger.debug("king fallback: board=(%d,%d) search=%d invariant=%d "

@@ -20,8 +20,8 @@ identical seed and budget serialize byte-for-byte identically.
 and each table row's, whatever its method), read back into G's vertices
 through G's labels, by one coordinate-wise check on G's adjacency, with no
 G^k built, and the upper certificate through ``certified_upper``, which
-also vets imports.  An imported packing on the (G.n, d) board is a witness
-of G^d like any other.
+also vets imports.  An imported packing on the (G.n, d) board, a
+``graphs.Placement``, is a witness of G^d like any other.
 
 Upper bounds are rounded outward, never to the nearest value: the chosen
 upper value is rounded up to 6 significant digits, unless the reported
@@ -41,11 +41,10 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
 
-from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError, ProductIndex,
-                     VertexLimitError, bits, check_vertex_limit,
+from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError, Placement,
+                     ProductIndex, VertexLimitError, bits, check_vertex_limit,
                      independent_in_power, strong_powers)
 from .haemers import FittingError, FittingMatrix, haemers_certificate
-from .kings import Placement
 from .solvers import (SolverConfig, _BudgetExhausted, _run_engine,
                       max_independent_set)
 from .theta import ThetaBracket, lovasz_theta
@@ -224,9 +223,13 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
     """Certified interval around the capacity of G, with per-power table.
     One seeded ``max_independent_set`` search per power, and theta, each
     run under ``cfg``'s budgets; a power whose search ends unproven goes
-    through ``_keep_or_prove`` under the same budgets.  Theta runs first,
-    so a graph too large for it raises ``ThetaError`` before any search
-    time is spent."""
+    through ``_keep_or_prove`` under the same budgets.  A ``max_power``
+    that is not a positive int raises ``ReportError`` before anything
+    runs.  Theta runs first, so a graph too large for it raises
+    ``ThetaError`` before any search time is spent."""
+    if not (type(max_power) is int and max_power >= 1):
+        raise ReportError(f"max_power {max_power!r} is not a positive int, "
+                          "so no power produced a lower bound")
     cfg = cfg or SolverConfig()
     bracket = lovasz_theta(G, tol=CLOSED_TOL, time_budget=cfg.time_budget)
     # one strong_powers call builds the powers that fit vertex_limit; G.n**k
@@ -301,16 +304,21 @@ class LockinTable:
     locked_at: object  # power k, or None
 
 
-def lockin_scan(G, p_max=2, cfg=None, graph_desc="graph",
-                vertex_limit=DEFAULT_VERTEX_LIMIT):
-    """The power table of ``compute_bounds``, each row marked when it
-    already meets the reported upper bound within ``MEET_TOL``."""
-    report = compute_bounds(G, p_max, cfg, graph_desc, vertex_limit)
+def lockin_table(report):
+    """The power table of ``report``, each row marked when it already
+    meets the reported upper bound within ``MEET_TOL``."""
     upper = report.upper.value
     rows = tuple(LockinRow(r.k, r.alpha_best, r.root, r.exact,
                            r.root >= upper - MEET_TOL) for r in report.table)
     locked = next((r.k for r in rows if r.meets_upper), None)
-    return LockinTable(graph_desc, upper, rows, locked)
+    return LockinTable(report.graph_desc, upper, rows, locked)
+
+
+def lockin_scan(G, p_max=2, cfg=None, graph_desc="graph",
+                vertex_limit=DEFAULT_VERTEX_LIMIT):
+    """``lockin_table`` of ``compute_bounds`` with ``max_power=p_max``."""
+    return lockin_table(compute_bounds(G, p_max, cfg, graph_desc,
+                                       vertex_limit))
 
 
 def certified_upper(G, cert):

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 # is_clique is re-exported: the set checks live in graphs.py
 from .graphs import (Graph, bits, clique_cover_value, complement, is_clique,
-                     is_independent_set)
+                     is_independent_set, is_index)
 
 DEFAULT_CLIQUE_CAP = 2000
 
@@ -505,7 +505,7 @@ class _MISEngine:
 def _check_vertices(G, vertices, what):
     """Reject ``vertices`` unless they are distinct in-range ids of an
     independent set of G."""
-    if not all(isinstance(v, int) and 0 <= v < G.n for v in vertices):
+    if not all(is_index(v, G.n) for v in vertices):
         raise SolverError(f"{what} vertices must be ids in range({G.n})")
     if len(set(vertices)) != len(vertices):
         raise SolverError(f"{what} vertices repeat a vertex")

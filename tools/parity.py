@@ -44,6 +44,8 @@ CLI_RUNS = (
     "bounds cycle:7 --max-power 3 --node-budget 150000 --json",
     "bounds cycle:7 --max-power 3 --vertex-limit 100 --json",
     "lockin cycle:5 --p-max 2 --json",
+    "lockin cycle:7 --p-max 2",
+    "lockin cycle:7 --p-max 3 --node-budget 1000 --strict",
     "kings --p 7 --d 3 --force-exact --node-budget 150000 --json",
     "kings --p 5 --d 4 --force-exact --json",
     "power cycle:5 2",
