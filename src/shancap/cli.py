@@ -5,6 +5,10 @@ result degraded to an unproven bound, 3 (``EXIT_INTERNAL``) when a report
 that ``bounds`` or ``lockin`` computed fails ``verify_report``: an internal
 error, with nothing on stdout.  --json emits machine-readable output on stdout;
 --seed makes every randomized component reproducible byte-for-byte.
+
+The parser decides which verbs read a graph: those built on the
+``graphful`` parent take one spec, positional or --graph, and ``_dispatch``
+parses it once, before it opens any matrix or umbrella file the verb names.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .fractional import rosenfeld_number
 from .graphs import (DEFAULT_VERTEX_LIMIT, GraphError, complement,
                      conormal_product, disjoint_union, generate,
                      strong_power, strong_product)
-from .haemers import fitting_from_json, haemers_certificate, verify_fitting
+from .haemers import fitting_from_json, matrix_rank, verify_fitting
 from .kings import (RENDER_FORMATS, Board, canonical_placement,
                     capped_result, exact_max_kings, heuristic_max_kings,
                     layered_construction, placement_from_json, render_board)
@@ -292,14 +296,14 @@ def run(argv=None):
 def _dispatch(args):
     degraded = False
     verb = args.verb
+    # first, so a bad graph is reported before any file the verb names
+    G, spec = _graph_arg(args) if "graph_pos" in args else (None, None)
 
     if verb == "gen":
-        G, _ = _graph_arg(args)
         _write_out(args, graphio.write_graph(G, args.format))
         return EXIT_OK
 
     if verb == "complement":
-        G, _ = _graph_arg(args)
         print(graphio.write_json(complement(G)))
         return EXIT_OK
 
@@ -311,13 +315,11 @@ def _dispatch(args):
         return EXIT_OK
 
     if verb == "power":
-        G, _ = _graph_arg(args)
         print(graphio.write_json(
             strong_power(G, args.k, vertex_limit=args.vertex_limit)))
         return EXIT_OK
 
     if verb == "alpha":
-        G, spec = _graph_arg(args)
         res = max_independent_set(G, _cfg(args))
         degraded = not res.proven_optimal
         doc = {"graph": spec, "alpha": len(res.vertices),
@@ -328,7 +330,6 @@ def _dispatch(args):
               f"{len(res.vertices)} (upper bound {res.upper_bound})")
 
     elif verb == "omega":
-        G, spec = _graph_arg(args)
         res = max_clique(G, _cfg(args))
         degraded = not res.proven_optimal
         doc = {"graph": spec, "omega": len(res.vertices),
@@ -338,7 +339,6 @@ def _dispatch(args):
               f"{len(res.vertices)}")
 
     elif verb == "sigma":
-        G, spec = _graph_arg(args)
         value, cover = clique_cover_number(G, _cfg(args))
         degraded = not cover.proven_optimal
         doc = {"graph": spec, "sigma": value, "proven": cover.proven_optimal,
@@ -347,7 +347,6 @@ def _dispatch(args):
               f"sigma({spec}) {'=' if cover.proven_optimal else '<='} {value}")
 
     elif verb == "rho":
-        G, spec = _graph_arg(args)
         value, weighting = rosenfeld_number(G)
         doc = {"graph": spec, "value": str(value),
                "weights": {str(v): str(w)
@@ -355,7 +354,6 @@ def _dispatch(args):
         _emit(args, doc, f"rho({spec}) = {value} (~{float(value):.7g})")
 
     elif verb == "theta":
-        G, spec = _graph_arg(args)
         bracket = lovasz_theta(G, tol=args.tol, time_budget=args.time_budget)
         degraded = not bracket.converged
         doc = {"graph": spec, "lo": bracket.lo, "hi": bracket.hi,
@@ -396,17 +394,16 @@ def _dispatch(args):
         _emit(args, doc, text)
 
     elif verb == "umbrella":
-        return _umbrella(args)
+        return _umbrella(args, G, spec)
 
     elif verb == "haemers":
-        G, spec = _graph_arg(args)
         with open(args.matrix) as fh:
             B = fitting_from_json(fh.read())
         rep = verify_fitting(B, G)
         if not rep.fits:
             return _fail(f"matrix does not fit ({rep.convention}): "
                          f"{rep.violation}")
-        bound = haemers_certificate(G, B)
+        bound = matrix_rank(B)
         doc = {"graph": spec, "fits": True, "rank": bound,
                "convention": rep.convention}
         _emit(args, doc,
@@ -414,7 +411,6 @@ def _dispatch(args):
               f">= alpha({spec})")
 
     elif verb in ("bounds", "lockin"):
-        G, spec = _graph_arg(args)
         rep = compute_bounds(G, max_power=args.max_power, cfg=_cfg(args),
                              graph_desc=spec, vertex_limit=args.vertex_limit)
         try:
@@ -449,13 +445,12 @@ def _guarded_exact_kings(board, cfg, args):
     return exact_max_kings(board, cfg, args.vertex_limit), False
 
 
-def _umbrella(args):
+def _umbrella(args, G, spec):
     if args.action == "gen-cycle":
         u = odd_cycle_umbrella(args.n)
         _write_out(args, umbrella_to_json(u))
         return EXIT_OK
     if args.action == "verify":
-        G, spec = _graph_arg(args)
         with open(args.file) as fh:
             u = umbrella_from_json(fh.read())
         rep = verify_umbrella(u, G)

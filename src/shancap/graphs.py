@@ -36,6 +36,12 @@ def is_index(x, n):
     return type(x) is int and 0 <= x < n
 
 
+def is_count(x, least=1):
+    """True iff ``x`` is an int >= ``least``: a board side, a dimension, a
+    power or a radix.  A bool or a float is not, as in ``is_index``."""
+    return type(x) is int and x >= least
+
+
 def bits(mask):
     """Yield the set bits of ``mask`` in increasing order."""
     while mask:
@@ -138,8 +144,8 @@ class ProductIndex:
     radices: tuple
 
     def __post_init__(self):
-        if not self.radices or any(r < 1 for r in self.radices):
-            raise GraphError("radices must be positive")
+        if not self.radices or not all(map(is_count, self.radices)):
+            raise GraphError("radices must be positive ints")
 
     @property
     def size(self):
@@ -191,10 +197,10 @@ class Board:
     d: int
 
     def __post_init__(self):
-        if self.p < 3:
-            raise PlacementError("cycle length p must be >= 3")
-        if self.d < 1:
-            raise PlacementError("dimension d must be >= 1")
+        if not is_count(self.p, 3):
+            raise PlacementError(f"cycle length {self.p!r} is not an int >= 3")
+        if not is_count(self.d):
+            raise PlacementError(f"dimension {self.d!r} is not an int >= 1")
 
     @property
     def cells(self):
@@ -349,8 +355,8 @@ def strong_powers(G, k, vertex_limit=DEFAULT_VERTEX_LIMIT):
     """[G, G^2, ..., G^k], each power the strong product of the one before
     and G, so built once; labels are flat k-digit coordinates (G's vertex
     ids when it has none).  Both checks run before anything is built."""
-    if k < 1:
-        raise GraphError("power k must be >= 1")
+    if not is_count(k):
+        raise GraphError(f"power k must be >= 1 and an int, not {k!r}")
     check_vertex_limit(G.n**k, vertex_limit)
     powers = [G if G.labels is not None else Graph(
         G.n, G.adj, tuple((v,) for v in range(G.n)))]
@@ -369,7 +375,7 @@ def independent_in_power(G, k, cells):
     are equal or adjacent in every coordinate (repeated or adjacent in
     G^k); None if ``cells`` is an independent set of G^k.  Reads only
     ``G.adj``: G^k is never built."""
-    if not isinstance(k, int) or k < 1:
+    if not is_count(k):
         raise GraphError(f"power {k!r} is not a positive integer")
     for cell in cells:
         if not (isinstance(cell, tuple) and len(cell) == k and all(

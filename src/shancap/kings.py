@@ -288,9 +288,6 @@ def placement_from_json(text):
         cells = tuple(tuple(c) for c in doc["cells"])
     except (KeyError, TypeError) as exc:
         raise PlacementError(f"malformed placement JSON: {exc}")
-    if not all(type(x) is int for x in (p, d, *(x for c in cells for x in c))):
-        raise PlacementError("placement JSON holds a non-integer p, d or "
-                             "coordinate")
     return Placement(Board(p, d), cells)
 
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .graphs import (DEFAULT_VERTEX_LIMIT, Graph, GraphError, Placement,
                      ProductIndex, VertexLimitError, bits, check_vertex_limit,
-                     independent_in_power, strong_powers)
+                     independent_in_power, is_count, strong_powers)
 from .haemers import FittingError, FittingMatrix, haemers_certificate
 from .solvers import (SolverConfig, _BudgetExhausted, _run_engine,
                       max_independent_set)
@@ -227,7 +227,7 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
     that is not a positive int raises ``ReportError`` before anything
     runs.  Theta runs first, so a graph too large for it raises
     ``ThetaError`` before any search time is spent."""
-    if not (type(max_power) is int and max_power >= 1):
+    if not is_count(max_power):
         raise ReportError(f"max_power {max_power!r} is not a positive int, "
                           "so no power produced a lower bound")
     cfg = cfg or SolverConfig()
@@ -238,14 +238,7 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
     powers = strong_powers(G, fit, vertex_limit) if fit else []
     table = []
     provenance = []
-    lower = None
-    for k in range(1, max_power + 1):
-        try:
-            check_vertex_limit(G.n**k, vertex_limit)
-        except VertexLimitError as exc:  # too large to build: flag, move on
-            provenance.append(f"power {k} skipped: {exc}")
-            continue
-        Gk = powers[k - 1]  # row: the search's set, or _keep_or_prove's
+    for k, Gk in enumerate(powers, 1):
         res = max_independent_set(Gk, cfg)
         verts, exact, method = res.vertices, True, "exact"
         if not res.proven_optimal:
@@ -253,16 +246,20 @@ def compute_bounds(G, max_power=2, cfg=None, graph_desc="graph",
                                                      res.upper_bound)
         size = len(verts)
         witness = tuple(Gk.label_of(v) for v in verts)  # coordinate tuples
-        row = PowerRow(k, size, size ** (1.0 / k), exact, witness, method)
-        table.append(row)
-        provenance.append(
-            f"alpha(G^{k}) {'=' if row.exact else '>='} {row.alpha_best} "
-            f"({row.method})")
-        if lower is None or row.root > lower.value:
-            lower = LowerBound(row.root, k, row.witness, row.exact,
-                               row.method)
-    if lower is None:
+        table.append(PowerRow(k, size, size ** (1.0 / k), exact, witness,
+                              method))
+        provenance.append(f"alpha(G^{k}) {'=' if exact else '>='} {size} "
+                          f"({method})")
+    for k in range(fit + 1, max_power + 1):  # too large to build: flag them
+        try:
+            check_vertex_limit(G.n**k, vertex_limit)
+        except VertexLimitError as exc:
+            provenance.append(f"power {k} skipped: {exc}")
+    if not table:
         raise ReportError("no power produced a lower bound")
+    best = max(table, key=lambda r: r.root)  # the first of the largest roots
+    lower = LowerBound(best.root, best.k, best.witness, best.exact,
+                       best.method)
     value = bracket.hi
     provenance.append(
         f"theta bracket [{bracket.lo!r}, {bracket.hi!r}]"

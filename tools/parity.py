@@ -49,6 +49,15 @@ CLI_RUNS = (
     "kings --p 7 --d 3 --force-exact --node-budget 150000 --json",
     "kings --p 5 --d 4 --force-exact --json",
     "power cycle:5 2",
+    "alpha cycle:7 --json",
+    "omega cycle:5",
+    "sigma cycle:7 --json",
+    "rho cycle:7 --json",
+    "theta cycle:5 --json",
+    "complement cycle:4",
+    "gen cycle:5 --format dimacs",
+    "alpha",
+    "alpha cycle:5 --graph cycle:7",
 )
 
 
